@@ -26,9 +26,6 @@
 //
 // scrape aggregates a running cluster's observability endpoints (each
 // node's metrics_addr) into one latency-breakdown table.
-//
-// A bare flag invocation (ahlctl -topo ...) still runs load for one
-// release; migrate scripts to the subcommand form.
 package main
 
 import (
@@ -40,7 +37,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/chain"
@@ -65,25 +61,11 @@ Run 'ahlctl <command> -h' for per-command flags.
 }
 
 func main() {
-	args := os.Args[1:]
-	cmd := "load"
-	if len(args) > 0 {
-		switch args[0] {
-		case "load", "query", "status", "scrape":
-			cmd, args = args[0], args[1:]
-		case "-h", "-help", "--help", "help":
-			usage()
-			return
-		default:
-			if !strings.HasPrefix(args[0], "-") {
-				fmt.Fprintf(os.Stderr, "ahlctl: unknown command %q\n\n", args[0])
-				usage()
-				os.Exit(2)
-			}
-			// Legacy flat invocation predating subcommands: run load.
-			log.Printf("ahlctl: note: bare flags are deprecated; use 'ahlctl load %s'", strings.Join(args, " "))
-		}
+	if len(os.Args) < 2 {
+		usage()
+		os.Exit(2)
 	}
+	cmd, args := os.Args[1], os.Args[2:]
 	switch cmd {
 	case "load":
 		runLoad(args)
@@ -93,6 +75,12 @@ func main() {
 		runStatus(args)
 	case "scrape":
 		runScrape(args)
+	case "-h", "-help", "--help", "help":
+		usage()
+	default:
+		fmt.Fprintf(os.Stderr, "ahlctl: unknown command %q\n\n", cmd)
+		usage()
+		os.Exit(2)
 	}
 }
 
@@ -226,9 +214,8 @@ func runStatus(args []string) {
 	fmt.Printf("  accounts      %d\n", res.Count)
 }
 
-// liveReport is one BENCH_live_*.json row: the measured (post-warmup)
-// throughput and latency distribution of a run, comparable across PRs by
-// the -compare gate.
+// liveReport is the -json row: the measured (post-warmup) throughput and
+// latency distribution of one run.
 type liveReport struct {
 	Label       string  `json:"label"`
 	Timestamp   string  `json:"timestamp"`
@@ -261,9 +248,7 @@ func runLoad(args []string) {
 		timeout     = fs.Duration("timeout", 5*time.Minute, "overall run deadline")
 		warmup      = fs.Int("warmup", -1, "completed transactions excluded from the measurement window (-1 = txs/10)")
 		label       = fs.String("label", "live", "label recorded in the -json report")
-		jsonOut     = fs.String("json", "", "write the measured report as a BENCH_live JSON row to this file")
-		compare     = fs.String("compare", "", "baseline BENCH_live JSON to compare throughput against")
-		gate        = fs.Float64("gate", 0, "with -compare: exit 3 if measured tps regresses more than this percent")
+		jsonOut     = fs.String("json", "", "write the measured report as a JSON row to this file")
 	)
 	fs.Parse(args)
 	if *topoPath == "" {
@@ -452,36 +437,6 @@ func runLoad(args []string) {
 		}
 		log.Printf("ahlctl: wrote %s", *jsonOut)
 	}
-	if *compare != "" {
-		os.Exit(compareBaseline(*compare, rep, *gate))
-	}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// compareBaseline prints measured-vs-baseline throughput and returns the
-// process exit code: 3 when gate > 0 and throughput regressed by more
-// than gate percent (the same contract as shardsim -compare -gate).
-func compareBaseline(path string, rep liveReport, gate float64) int {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		log.Printf("ahlctl: compare: %v", err)
-		return 1
-	}
-	var base liveReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		log.Printf("ahlctl: compare: parse %s: %v", path, err)
-		return 1
-	}
-	if base.TPS <= 0 {
-		log.Printf("ahlctl: compare: baseline %s has no tps", path)
-		return 1
-	}
-	delta := (rep.TPS - base.TPS) / base.TPS * 100
-	fmt.Printf("  baseline      %.1f tx/s (%s); delta %+.1f%%\n", base.TPS, base.Label, delta)
-	if gate > 0 && delta < -gate {
-		fmt.Printf("  GATE FAILED   throughput regressed %.1f%% (> %.0f%% allowed)\n", -delta, gate)
-		return 3
-	}
-	return 0
-}

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/consensus/pbft"
 	"repro/internal/report"
 )
 
@@ -53,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outPath  = fs.String("o", "", "output path for -report/-compare markdown (default stdout)")
 		gate     = fs.Float64("gate", 0, "with -compare: exit 3 if any gated throughput metric regressed more than this percent")
 		label    = fs.String("label", "", "label recorded in the -json report (default \"shardsim -exp <ids>\")")
-		execWk   = fs.Int("execworkers", 0, "parallel execution workers per replica (0 = serial, matching the published baselines)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -77,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	bench.SetWorkers(*workers)
-	pbft.SetDefaultExecWorkers(*execWk)
 
 	switch {
 	case *repPath != "":

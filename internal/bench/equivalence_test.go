@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -16,20 +17,22 @@ import (
 // This file is the determinism harness that pins the conflict-aware
 // parallel executor to the serial execution semantics: every registered
 // experiment — including the faults-* schedules, whose whole point is to
-// attack ordering — is rendered at smoke scale with parallel execution
-// off and on, and the table text must be byte-identical. Because the
+// attack ordering — is rendered at smoke scale on the serial executor and
+// on 4 workers, and the table text must be byte-identical. Because the
 // tables fold in committed throughput, abort rates, view changes,
 // unresolved counts and lock residue, any divergence in execution order,
 // write-set content or reply timing shows up as a text diff. The
 // state-level test below additionally compares the full final key/value
 // state (so SmallBank balances) of every shard quorum head.
+//
+// A replica sizes its worker pool to runtime.GOMAXPROCS when it is built
+// (1 = the serial executor), so each pass runs under that many processors.
 
 // smokeOutputs renders every experiment whose id passes keep at smoke
-// scale with the package-wide parallel-execution worker count forced to
-// workers, and returns the table text keyed by experiment id.
+// scale with workers execution workers per replica, and returns the table
+// text keyed by experiment id.
 func smokeOutputs(keep func(id string) bool, workers int) map[string]string {
-	pbft.SetDefaultExecWorkers(workers)
-	defer pbft.SetDefaultExecWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	out := make(map[string]string)
 	for _, e := range All() {
 		if !keep(e.ID) {
@@ -84,8 +87,7 @@ func TestParallelExecEquivalenceSmokeTier(t *testing.T) {
 // returns every shard quorum head's full key/value state, rendered as
 // text, plus its store digest.
 func finalStates(workers int) []string {
-	pbft.SetDefaultExecWorkers(workers)
-	defer pbft.SetDefaultExecWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	const shards, per, ref = 3, 4, 4
 	sys := core.NewSystem(core.Config{
 		Seed: 99, Shards: shards, ShardSize: per, RefSize: ref,

@@ -29,8 +29,9 @@
 // deployments (Figures 8, 9, 14). Byzantine behaviors (equivocation,
 // silence) are injectable per replica for the failure experiments.
 //
-// # Pipelined protocol flow
+// # Protocol flow
 //
+// There is one flow, the same in the simulator and in the live runtime.
 // Ordering and execution are decoupled, as in classic PBFT: the leader
 // assigns sequence numbers and issues pre-prepares without waiting for
 // earlier sequences to execute, bounded by min(stable checkpoint + Window,
@@ -43,21 +44,21 @@
 // survives leader failure with no decided sequence lost and no sequence
 // executed twice (pipeline_test.go pins this).
 //
-// Three optional levers tune the live path and default off, keeping the
-// simulator's published baselines byte-identical:
+// A decided batch executes conflict-aware on a pool of workers sized to
+// the processors available when the replica is built (parexec.go):
+// transactions are partitioned into non-conflicting groups via the
+// chaincodes' declared key sets (chaincode.ConflictKeys, grounded in the
+// same keys the 2PL lock table guards), groups execute concurrently
+// against overlay views, and write-sets are applied in original block
+// order — so the state digest chain is byte-identical to the serial
+// executor, which remains as the one-processor case and the fallback
+// (internal/bench equivalence harness).
 //
-//   - AdaptiveBatch replaces the fixed BatchTimeout cadence when the
-//     pipeline is idle: a partial batch is cut after the short
-//     BatchMinDelay coalescing window instead of waiting out the full
-//     timer. Under load the legacy cadence is kept — larger batches
-//     amortize per-sequence protocol cost.
-//   - PipelineDepth caps how far sequence assignment may run ahead of
-//     local execution (0 = checkpoint window only).
-//   - ExecWorkers > 1 enables conflict-aware parallel execution of a
-//     decided batch: transactions are partitioned into non-conflicting
-//     groups via the chaincodes' declared key sets (chaincode.ConflictKeys,
-//     grounded in the same keys the 2PL lock table guards), groups execute
-//     concurrently against overlay views, and write-sets are applied in
-//     original block order — so the state digest chain is byte-identical
-//     to serial execution (internal/bench equivalence harness).
+// The leader cuts a batch when it is full or when Timing.BatchTimeout
+// expires. The one environment-dependent choice is Timing.BatchEarlyCut
+// (see scheduleBatch): when set, a leader whose pipeline is idle cuts a
+// partial batch after that short coalescing window instead of waiting
+// out the timer; with proposals in flight the BatchTimeout cadence
+// applies either way. The modelled environments leave it zero, the live
+// runtime sets it — both for measured reasons recorded on the field.
 package pbft

@@ -18,7 +18,7 @@ type pbftMetrics struct {
 	occupancyPeak *obs.Gauge
 
 	// Batching: cut sizes and why each cut happened (size-full,
-	// BatchTimeout cadence, adaptive idle fast path).
+	// BatchTimeout cadence, idle-pipeline early cut).
 	batchTxs   *obs.Histogram
 	cutSize    *obs.Counter
 	cutTimeout *obs.Counter
@@ -112,7 +112,7 @@ func (r *Replica) obsCut(txs int) {
 }
 
 // tryBatchTimer is the batch timer's callback: a cut it triggers is a
-// cadence cut (or an adaptive fast-path cut), not a size cut.
+// cadence cut (or an idle-pipeline early cut), not a size cut.
 func (r *Replica) tryBatchTimer() {
 	if r.batchTimerFast {
 		r.cutReason = cutReasonFast

@@ -2,7 +2,6 @@ package pbft
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/blockcrypto"
 	"repro/internal/chain"
@@ -11,9 +10,10 @@ import (
 )
 
 // Conflict-aware parallel execution of a decided block, and transport-side
-// attestation pre-verification. Both serve the live runtime's hot path;
-// the simulator never enables either (ExecWorkers <= 1, no preverifier),
-// so its byte-identical schedules are untouched.
+// attestation pre-verification. Every replica executes through
+// planParallel, in the simulator and live alike; the preverifier is
+// installed only by the live runtime, whose transport has goroutines to
+// run it on.
 //
 // Parallel execution keeps the serial loop's observable behavior exactly:
 // the chaincodes declare a superset of the keys each transaction may
@@ -27,25 +27,6 @@ import (
 // block serial, and a cross-check of the keys actually touched discards
 // the parallel results and falls back to serial if a declaration ever
 // proves too narrow.
-
-// pkgExecWorkers is the process-wide default for Options.ExecWorkers == 0.
-// It exists so harnesses that build replicas through deep call paths
-// (bench experiments, shardsim) can flip every replica to parallel
-// execution without threading an option through each layer.
-var pkgExecWorkers atomic.Int32
-
-// SetDefaultExecWorkers sets the process-wide default number of execution
-// workers used when Options.ExecWorkers is 0. Values <= 1 mean serial
-// execution (the initial default). It affects replicas built after the
-// call.
-func SetDefaultExecWorkers(n int) { pkgExecWorkers.Store(int32(n)) }
-
-func defaultExecWorkers() int {
-	if n := int(pkgExecWorkers.Load()); n > 1 {
-		return n
-	}
-	return 1
-}
 
 // takeVerified consumes the per-dispatch "attestation already verified"
 // flag (see Replica.verifiedMsg).

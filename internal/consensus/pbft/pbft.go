@@ -117,32 +117,17 @@ type Options struct {
 	// executing each transaction (closed-loop clients need this; open-
 	// loop throughput runs leave it off to avoid N-fold reply traffic).
 	SendReplies bool
-
-	// PipelineDepth additionally caps how far proposals may run ahead of
-	// execution: the leader stops assigning once
-	// seqAssign - executedThrough reaches it. 0 disables the cap, leaving
-	// Window (which is anchored at the last stable checkpoint, not at
-	// execution) as the only pipelining bound — the legacy behavior.
-	PipelineDepth uint64
-	// AdaptiveBatch replaces the fixed BatchTimeout batch cut with a
-	// load-scaled one: cut immediately when the pipeline is empty, and
-	// otherwise wait BatchTimeout scaled by pipeline occupancy (floored
-	// at BatchMinDelay) so batches grow under load instead of the timer
-	// dominating latency. Off (the default) preserves the simulator's
-	// byte-identical legacy schedule.
-	AdaptiveBatch bool
-	// BatchMinDelay floors the adaptive batch cut delay. 0 means
-	// DefaultBatchMinDelay.
-	BatchMinDelay time.Duration
-	// ExecWorkers sets the number of goroutines executing non-conflicting
-	// transaction groups of a decided block concurrently. 0 uses the
-	// package default (serial unless SetDefaultExecWorkers was called);
-	// values <= 1 execute serially on the engine goroutine.
-	ExecWorkers int
 }
 
-// DefaultBatchMinDelay is the floor on the adaptive batch cut delay.
-const DefaultBatchMinDelay = 500 * time.Microsecond
+// PipelineDepth is how many sequences a leader assigns ahead of its own
+// execution (see maxAssign). Deep enough to keep consensus busy across
+// the commit round trip, shallow enough that a restarting replica replays
+// at most this many blocks past its snapshot.
+const PipelineDepth = 8
+
+// maxExecWorkers caps the goroutines executing one decided block's
+// conflict groups; New sizes the pool to the processors it may use.
+const maxExecWorkers = 8
 
 // DefaultOptions fills the tunables with the values used by the paper's
 // cluster experiments.

@@ -17,17 +17,18 @@ import (
 // duplicate-request reply cache while commits land for many sequences at
 // once.
 
+// testEarlyCut is the live runtime's idle-pipeline coalescing window.
+const testEarlyCut = 500 * time.Microsecond
+
 // pipelinedTune configures a committee for deep pipelining: single-tx
-// batches so every transaction is its own sequence, and a pre-prepare
-// window bounded by depth rather than the checkpoint window.
-func pipelinedTune(depth uint64) func(*Options) {
-	return func(o *Options) {
-		o.BatchSize = 1
-		o.Window = 32
-		o.CheckpointEvery = 16
-		o.PipelineDepth = depth
-		o.AdaptiveBatch = true
-	}
+// batches so every transaction is its own sequence, a checkpoint window
+// wide enough that PipelineDepth is the binding bound, and the live
+// runtime's early batch cut.
+func pipelinedTune(o *Options) {
+	o.BatchSize = 1
+	o.Window = 32
+	o.CheckpointEvery = 16
+	o.Timing.BatchEarlyCut = testEarlyCut
 }
 
 // TestViewChangeWithPipelinedPrePrepares crashes the leader while it has
@@ -35,7 +36,7 @@ func pipelinedTune(depth uint64) func(*Options) {
 // survivors must view-change and re-decide or re-propose every
 // transaction exactly once, with all ledgers agreeing.
 func TestViewChangeWithPipelinedPrePrepares(t *testing.T) {
-	tc := newTestCluster(t, 4, VariantAHLPlus, nil, pipelinedTune(8))
+	tc := newTestCluster(t, 4, VariantAHLPlus, nil, pipelinedTune)
 	leader := tc.bc.Committee.Leader(0)
 	var inFlightAtCrash uint64
 	tc.engine.Schedule(0, func() { tc.submit(1, 40) })
@@ -56,7 +57,7 @@ func TestViewChangeWithPipelinedPrePrepares(t *testing.T) {
 	}
 	tc.engine.Schedule(0, arm)
 	tc.run(120 * time.Second)
-	if inFlightAtCrash < 2 {
+	if inFlightAtCrash < 4 {
 		t.Fatalf("precondition: only %d pre-prepares in flight at crash; the scenario needs a loaded pipeline", inFlightAtCrash)
 	}
 	for i := 1; i < 4; i++ {
@@ -70,33 +71,28 @@ func TestViewChangeWithPipelinedPrePrepares(t *testing.T) {
 	tc.requireAgreement(t, 40)
 }
 
-// TestPipelineDepthBoundsInFlight drives a trickle of transactions through
-// an adaptively batched committee with PipelineDepth 2 and asserts the
-// leader never assigns a sequence more than two past its own execution
-// watermark (nor past the checkpoint window) at any sampled instant.
+// TestPipelineDepthBoundsInFlight offers a burst of single-transaction
+// batches far deeper than the pipeline and asserts the leader fills it to
+// PipelineDepth but never assigns a sequence further past its own
+// execution watermark (nor past the checkpoint window) at any sampled
+// instant.
 func TestPipelineDepthBoundsInFlight(t *testing.T) {
-	tc := newTestCluster(t, 4, VariantAHLPlus, nil, func(o *Options) {
-		o.Window = 32
-		o.CheckpointEvery = 16
-		o.PipelineDepth = 2
-		o.AdaptiveBatch = true
-	})
-	for i := 0; i < 60; i++ {
-		i := i
-		tc.engine.Schedule(time.Duration(i)*time.Millisecond, func() { tc.submit(0, 1) })
-	}
+	tc := newTestCluster(t, 4, VariantAHLPlus, nil, pipelinedTune)
+	tc.engine.Schedule(0, func() { tc.submit(0, 60) })
 	r := tc.bc.Replicas[0]
 	var violated string
+	var peak uint64
 	var sample func()
 	sample = func() {
-		if r.seqAssign > r.executedThrough+2 && violated == "" {
-			violated = "seqAssign ran past executedThrough+depth"
+		peak = max(peak, r.seqAssign-r.executedThrough)
+		if r.seqAssign > r.executedThrough+PipelineDepth && violated == "" {
+			violated = "seqAssign ran past executedThrough+PipelineDepth"
 		}
 		if r.seqAssign > r.h+r.opts.Window && violated == "" {
 			violated = "seqAssign ran past the checkpoint window"
 		}
 		if tc.engine.Now() < sim.Time(500*time.Millisecond) {
-			tc.engine.Schedule(500*time.Microsecond, sample)
+			tc.engine.Schedule(20*time.Microsecond, sample)
 		}
 	}
 	tc.engine.Schedule(0, sample)
@@ -105,7 +101,71 @@ func TestPipelineDepthBoundsInFlight(t *testing.T) {
 		t.Fatalf("pipeline bound violated: %s (seqAssign=%d executedThrough=%d h=%d)",
 			violated, r.seqAssign, r.executedThrough, r.h)
 	}
+	if peak != PipelineDepth {
+		t.Fatalf("peak in-flight sequences = %d, want the pipeline filled to PipelineDepth (%d)", peak, PipelineDepth)
+	}
 	tc.requireAgreement(t, 60)
+}
+
+// proposedAfter returns how long after virtual time since the leader of tc
+// proposed sequence seq, and with how many transactions (0 if it never
+// did within a second).
+func proposedAfter(tc *testCluster, seq uint64, since time.Duration) (after time.Duration, txs int) {
+	r := tc.bc.Replicas[0]
+	var sample func()
+	sample = func() {
+		if e := r.entries[seq]; e != nil && e.prePrepared {
+			after, txs = time.Duration(tc.engine.Now())-since, len(e.block.Txs)
+			return
+		}
+		tc.engine.Schedule(10*time.Microsecond, sample)
+	}
+	tc.engine.Schedule(0, sample)
+	tc.run(time.Second)
+	return after, txs
+}
+
+// TestBatchEarlyCut pins the one batch-cut choice. An idle leader waits
+// out BatchTimeout unless Timing.BatchEarlyCut is set; with it set, the
+// cut comes one coalescing window after the first arrival, and a later
+// arrival shares the block without pushing the cut forward. A request
+// that arrived while the pipeline was busy keeps its BatchTimeout
+// deadline when the pipeline then drains: the early cut may bring a
+// pending cut forward but never postpones it.
+func TestBatchEarlyCut(t *testing.T) {
+	const (
+		timeout = 50 * time.Millisecond // DefaultTiming().BatchTimeout
+		arrival = time.Millisecond
+		slack   = 100 * time.Microsecond
+	)
+	for _, c := range []struct {
+		early, want time.Duration
+	}{{0, timeout}, {testEarlyCut, testEarlyCut}} {
+		tc := newTestCluster(t, 4, VariantAHLPlus, nil, func(o *Options) { o.Timing.BatchEarlyCut = c.early })
+		tc.engine.Schedule(arrival, func() { tc.submit(0, 1) })
+		tc.engine.Schedule(arrival+300*time.Microsecond, func() { tc.submit(0, 1) })
+		if at, txs := proposedAfter(tc, 1, arrival); at < c.want || at > c.want+slack || txs != 2 {
+			t.Errorf("BatchEarlyCut %v: idle leader cut %v after the first arrival with %d txs, want %v with 2",
+				c.early, at, txs, c.want)
+		}
+	}
+
+	// Sequence 1 keeps the pipeline busy for 15ms of execution; the second
+	// request arrives just after its cut and arms the BatchTimeout cadence.
+	// When the pipeline drains, a 40ms early cut would land after that
+	// pending deadline, so the deadline stands.
+	const early = 40 * time.Millisecond
+	tc := newTestCluster(t, 4, VariantAHLPlus, nil, func(o *Options) {
+		o.Timing.BatchEarlyCut = early
+		o.ExecPerTx = 15 * time.Millisecond
+	})
+	second := arrival + early + slack
+	tc.engine.Schedule(arrival, func() { tc.submit(0, 1) })
+	tc.engine.Schedule(second, func() { tc.submit(0, 1) })
+	if at, txs := proposedAfter(tc, 2, second); txs != 1 || at > timeout+slack {
+		t.Errorf("request pending behind a busy pipeline was cut %v after arrival (%d txs), want within BatchTimeout (%v)",
+			at, txs, timeout)
+	}
 }
 
 // txFor reconstructs the exact transaction testCluster.submit built for
@@ -126,7 +186,7 @@ func (tc *testCluster) txFor(id uint64) chain.Tx {
 // asserts exactly-once execution plus a populated reply cache for every
 // transaction id.
 func TestDuplicateRequestReplyCacheUnderPipelining(t *testing.T) {
-	tc := newTestCluster(t, 4, VariantAHLPlus, nil, pipelinedTune(8))
+	tc := newTestCluster(t, 4, VariantAHLPlus, nil, pipelinedTune)
 	tc.engine.Schedule(0, func() { tc.submit(1, 30) })
 	resubmit := func(replica int) func() {
 		return func() {
@@ -165,8 +225,7 @@ func TestRestartWithPartiallyJournaledPipelineWindow(t *testing.T) {
 		o.BatchSize = 1
 		o.Window = 16
 		o.CheckpointEvery = 4
-		o.PipelineDepth = 4
-		o.AdaptiveBatch = true
+		o.Timing.BatchEarlyCut = testEarlyCut
 	})
 	r := tc.bc.Replicas[0]
 	mem := storage.NewMemory()
@@ -198,8 +257,7 @@ func TestRestartWithPartiallyJournaledPipelineWindow(t *testing.T) {
 		o.BatchSize = 1
 		o.Window = 16
 		o.CheckpointEvery = 4
-		o.PipelineDepth = 4
-		o.AdaptiveBatch = true
+		o.Timing.BatchEarlyCut = testEarlyCut
 	})
 	r2 := tc2.bc.Replicas[0]
 	if _, err := r2.RestoreDurableSnapshot(snap); err != nil {

@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -172,13 +173,14 @@ type Replica struct {
 	// and the flag lets the handler skip the redundant check. Consume-once
 	// via takeVerified so an early return cannot leak it to a later check.
 	verifiedMsg bool
-	// execWorkers caps goroutines for conflict-aware parallel execution
-	// (resolved from Options.ExecWorkers at construction; <=1 = serial).
+	// execWorkers caps goroutines for conflict-aware parallel execution:
+	// the processors available at construction, at most maxExecWorkers
+	// (1 = serial; see planParallel).
 	execWorkers int
-	// batchTimerFast records that batchTimer is armed with the adaptive
-	// fast-path coalescing delay rather than the full BatchTimeout, so an
-	// idle-pipeline arrival can tell whether the pending cut is already
-	// imminent (see scheduleAdaptiveBatch).
+	// batchDue is when the armed batchTimer fires, and batchTimerFast that
+	// it was armed with Timing.BatchEarlyCut rather than BatchTimeout (see
+	// armBatchCut, resetBatchTimer).
+	batchDue       sim.Time
 	batchTimerFast bool
 
 	// ExecBusy accumulates virtual CPU time spent executing transactions,
@@ -225,10 +227,7 @@ func New(opts Options, deps Deps) *Replica {
 	if r.store == nil {
 		r.store = chain.NewStore()
 	}
-	r.execWorkers = opts.ExecWorkers
-	if r.execWorkers == 0 {
-		r.execWorkers = defaultExecWorkers()
-	}
+	r.execWorkers = min(runtime.GOMAXPROCS(0), maxExecWorkers)
 	charge := func(d time.Duration) { deps.Endpoint.CPU().Charge(d) }
 	costs := deps.Platform.Costs()
 	if opts.Variant.Attested() {
@@ -543,62 +542,59 @@ func (r *Replica) armProgressTimer() {
 
 // --- leader batching ---
 
+// scheduleBatch arms the leader's next batch cut. A full batch is cut at
+// once; a partial one waits out BatchTimeout so it can fill — under
+// sustained load big batches amortize the per-sequence protocol cost.
+//
+// Timing.BatchEarlyCut, when set, makes the pending requests arm their own
+// cut: with none there is nothing to arm, and when the pipeline is idle
+// (every assigned sequence executed) waiting helps nobody, so the cut
+// comes after just that short coalescing window, which lets a burst of
+// near-simultaneous arrivals share a block. When it is zero the
+// BatchTimeout cadence free-runs instead — re-armed from every scheduling
+// event (execution, checkpoint, view install) whether or not a request is
+// pending, so a request reaching an idle leader waits out only the
+// remainder; the simulator's published figures embed that phase.
 func (r *Replica) scheduleBatch() {
-	if r.unbatchedCount() >= r.opts.BatchSize {
+	n := r.unbatchedCount()
+	if n >= r.opts.BatchSize {
 		r.tryBatch()
 		return
 	}
-	if r.opts.AdaptiveBatch {
-		r.scheduleAdaptiveBatch()
-		return
-	}
-	if !r.batchTimer.Active() {
-		r.batchTimer.Reset(r.opts.Timing.BatchTimeout, r.tryBatchTimer)
-	}
-}
-
-// scheduleAdaptiveBatch is the AdaptiveBatch batch-cut policy. With
-// proposals in flight it keeps the legacy BatchTimeout cadence — under
-// sustained load big batches amortize the per-sequence protocol cost,
-// and cutting eagerly measurably fragments the pipeline. Only when the
-// pipeline is idle (every assigned sequence executed) does waiting help
-// nobody, so the cut happens after just a short BatchMinDelay coalescing
-// window that lets a burst of near-simultaneous arrivals share a block.
-// The fast timer is not pushed forward by later arrivals: a steady
-// trickle must not postpone the cut indefinitely.
-func (r *Replica) scheduleAdaptiveBatch() {
-	if r.unbatchedCount() == 0 {
-		return
-	}
-	if r.seqAssign > r.executedThrough { // pipeline busy: legacy cadence
-		if !r.batchTimer.Active() {
-			r.batchTimer.Reset(r.opts.Timing.BatchTimeout, r.tryBatchTimer)
-			r.batchTimerFast = false
+	if early := r.opts.Timing.BatchEarlyCut; early > 0 {
+		if n == 0 {
+			return
 		}
-		return
+		if r.seqAssign <= r.executedThrough {
+			r.armBatchCut(early, true)
+			return
+		}
 	}
-	if r.batchTimer.Active() && r.batchTimerFast {
-		return
-	}
-	floor := r.opts.BatchMinDelay
-	if floor <= 0 {
-		floor = DefaultBatchMinDelay
-	}
-	r.batchTimer.Reset(floor, r.tryBatchTimer)
-	r.batchTimerFast = true
+	r.armBatchCut(r.opts.Timing.BatchTimeout, false)
 }
 
-// maxAssign returns the exclusive upper bound on leader sequence
-// assignment: the checkpoint window always, tightened by PipelineDepth's
-// cap on proposals running ahead of local execution when set.
+// armBatchCut arms a batch cut d from now, unless one is already due no
+// later than that: later arrivals never push a pending cut forward, so a
+// steady trickle cannot postpone it, and a request never waits past
+// BatchTimeout for an early cut.
+func (r *Replica) armBatchCut(d time.Duration, early bool) {
+	if r.batchTimer.Active() && r.batchDue <= r.engine.Now().Add(d) {
+		return
+	}
+	r.resetBatchTimer(d, early, r.tryBatchTimer)
+}
+
+// resetBatchTimer (re)arms the batch timer to run fire d from now.
+func (r *Replica) resetBatchTimer(d time.Duration, early bool, fire func()) {
+	r.batchTimer.Reset(d, fire)
+	r.batchDue, r.batchTimerFast = r.engine.Now().Add(d), early
+}
+
+// maxAssign returns the highest sequence the leader may assign: ordering
+// runs ahead of execution by at most PipelineDepth sequences, and never
+// past the checkpoint window.
 func (r *Replica) maxAssign() uint64 {
-	lim := r.h + r.opts.Window
-	if d := r.opts.PipelineDepth; d > 0 {
-		if byExec := r.executedThrough + d; byExec < lim {
-			lim = byExec
-		}
-	}
-	return lim
+	return min(r.h+r.opts.Window, r.executedThrough+PipelineDepth)
 }
 
 func (r *Replica) unbatchedCount() int { return r.unbatched }
@@ -647,27 +643,26 @@ func (r *Replica) tryBatch() {
 		r.seqAssign++
 		r.propose(r.seqAssign, batch)
 	}
-	if r.unbatchedCount() > 0 && !r.batchTimer.Active() {
-		if r.seqAssign < r.h+r.opts.Window {
-			// Depth-capped, not window-full: local execution is the
-			// bottleneck and finishExecute re-triggers batching the moment
-			// it advances. Re-arm a plain retry as a safety net without
-			// retransmitting (the committee is keeping up; only we are).
-			r.batchTimer.Reset(r.opts.Timing.BatchTimeout, r.tryBatchTimer)
-			r.batchTimerFast = false
-			return
-		}
-		// Window full: retry after the batch timeout; checkpoint
-		// progress will also retrigger batching. Retransmit the oldest
-		// in-flight proposal so replicas that fell behind (and replicas
-		// that missed it) can react — the partially-synchronous model
-		// assumes exactly this kind of repeated send.
-		r.batchTimer.Reset(r.opts.Timing.BatchTimeout, func() {
+	if r.unbatchedCount() == 0 || r.batchTimer.Active() {
+		return
+	}
+	// Out of room with requests left over: retry after the batch timeout.
+	// Depth-capped, local execution is the bottleneck and finishExecute
+	// re-triggers batching the moment it advances, so the retry is only a
+	// safety net (the committee is keeping up; only we are not).
+	retry := r.tryBatchTimer
+	if r.seqAssign >= r.h+r.opts.Window {
+		// Window full: checkpoint progress will also retrigger batching.
+		// Retransmit the oldest in-flight proposal so replicas that fell
+		// behind (and replicas that missed it) can react — the
+		// partially-synchronous model assumes exactly this kind of
+		// repeated send.
+		retry = func() {
 			r.retransmitOldest()
 			r.tryBatchTimer()
-		})
-		r.batchTimerFast = false
+		}
 	}
+	r.resetBatchTimer(r.opts.Timing.BatchTimeout, false, retry)
 }
 
 // retransmitVotes re-broadcasts this replica's pre-prepares and votes for
@@ -1223,12 +1218,12 @@ func (r *Replica) finishExecute(e *entry) {
 		panic("pbft: ledger append: " + err.Error())
 	}
 
-	// Conflict-aware parallel execution (live path): precompute results
-	// for non-conflicting groups on worker goroutines, then fold them in
-	// below in block order — write-sets apply in the same order the serial
-	// loop would, so the state digest chain is identical. plan is nil when
-	// the block executes serially (workers <= 1, undeclarable conflicts,
-	// or a single conflict group).
+	// Conflict-aware parallel execution: precompute results for
+	// non-conflicting groups on worker goroutines, then fold them in below
+	// in block order — write-sets apply in the same order the serial loop
+	// would, so the state digest chain is identical. plan is nil when the
+	// block executes serially (one worker, undeclarable conflicts, or a
+	// single conflict group).
 	plan := r.planParallel(e.block.Txs)
 	results := make([]chaincode.Result, 0, len(e.block.Txs))
 	for _, tx := range e.block.Txs {
@@ -1421,12 +1416,6 @@ func (r *Replica) advanceStable(seq uint64, digest blockcrypto.Digest, ck map[in
 		}
 		r.scheduleBatch()
 	}
-}
-
-// DebugSyncState exposes internals for diagnosing state-sync issues in
-// tests; not part of the stable API.
-func (r *Replica) DebugSyncState() (h, executedThrough, stableSnapSeq uint64, certLen, pendingLen int) {
-	return r.h, r.executedThrough, r.stableSnapSeq, len(r.stableCert), len(r.pending)
 }
 
 // DebugEntry renders the consensus entry at seq for fault diagnosis in

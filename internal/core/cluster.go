@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"repro/internal/consensus/pbft"
@@ -74,22 +74,6 @@ type ClusterConfig struct {
 	// deployments default to free costs: the real process pays real CPU.
 	Table2Costs bool `json:"table2_costs,omitempty"`
 
-	// PipelineDepth caps how many proposals the leader pipelines ahead of
-	// local execution: 0 selects the default (8), negative disables the
-	// cap (consensus-window-only pipelining, the pre-pipelining behavior).
-	PipelineDepth int `json:"pipeline_depth,omitempty"`
-	// LegacyBatching restores the fixed batch-timeout cut. The default is
-	// adaptive batching: cut immediately when the pipeline is idle, scale
-	// the wait with pipeline occupancy under load.
-	LegacyBatching bool `json:"legacy_batching,omitempty"`
-	// BatchMinDelayUs floors the adaptive batch-cut delay, in
-	// microseconds (0 = protocol default, 500µs).
-	BatchMinDelayUs int `json:"batch_min_delay_us,omitempty"`
-	// ExecWorkers sets per-replica parallel-execution workers: 0 sizes to
-	// the machine (NumCPU, capped at 8), 1 or negative forces serial
-	// execution.
-	ExecWorkers int `json:"exec_workers,omitempty"`
-
 	// DataDir roots each replica's durable state (WAL + snapshots) at
 	// <DataDir>/node-<id>/; empty runs memory-only, with recovery relying
 	// entirely on peer state sync. Per-process overrides (ahlnode -data)
@@ -113,7 +97,12 @@ func LoadClusterConfig(path string) (*ClusterConfig, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	var c ClusterConfig
-	if err := json.Unmarshal(raw, &c); err != nil {
+	// Unknown keys are errors (the decoder names the key): a topology
+	// carrying a knob this build does not have must fail loudly, not
+	// silently measure something else.
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("cluster: parse %s: %w", path, err)
 	}
 	if err := c.Validate(); err != nil {
@@ -170,48 +159,12 @@ func (c *ClusterConfig) Validate() error {
 	if _, err := c.fsyncMode(); err != nil {
 		return err
 	}
-	if c.BatchMinDelayUs < 0 {
-		return fmt.Errorf("cluster: batch_min_delay_us %d is negative", c.BatchMinDelayUs)
-	}
-	if c.ExecWorkers > 1024 {
-		return fmt.Errorf("cluster: exec_workers %d unreasonably large (max 1024)", c.ExecWorkers)
-	}
 	return nil
 }
 
-// liveDefaultPipelineDepth is the in-flight proposal cap live clusters
-// get when the topology does not set pipeline_depth. Deep enough to keep
-// consensus busy across the commit round trip, shallow enough that a
-// restarting replica replays at most this many blocks past its snapshot.
-const liveDefaultPipelineDepth = 8
-
-// pipelineDepth resolves the PipelineDepth knob (see its field comment).
-func (c *ClusterConfig) pipelineDepth() uint64 {
-	switch {
-	case c.PipelineDepth > 0:
-		return uint64(c.PipelineDepth)
-	case c.PipelineDepth < 0:
-		return 0
-	default:
-		return liveDefaultPipelineDepth
-	}
-}
-
-// execWorkers resolves the ExecWorkers knob (see its field comment).
-func (c *ClusterConfig) execWorkers() int {
-	switch {
-	case c.ExecWorkers > 0:
-		return c.ExecWorkers
-	case c.ExecWorkers < 0:
-		return 1
-	default:
-		n := runtime.NumCPU()
-		if n > 8 {
-			n = 8
-		}
-		return n
-	}
-}
+// liveBatchEarlyCut is the Timing.BatchEarlyCut every live topology gets
+// (see the field for why it differs from the modelled environments).
+const liveBatchEarlyCut = 500 * time.Microsecond
 
 // fsyncMode parses the Fsync field.
 func (c *ClusterConfig) fsyncMode() (storage.FsyncMode, error) {
@@ -401,13 +354,8 @@ func (c *ClusterConfig) liveConfig() Config {
 	} else {
 		cfg.Costs = liveCosts()
 	}
-	cfg.PipelineDepth = c.pipelineDepth()
-	cfg.AdaptiveBatch = !c.LegacyBatching
-	if c.BatchMinDelayUs > 0 {
-		cfg.BatchMinDelay = time.Duration(c.BatchMinDelayUs) * time.Microsecond
-	}
-	cfg.ExecWorkers = c.execWorkers()
 	cfg.Tune = func(o *pbft.Options) {
+		o.Timing.BatchEarlyCut = liveBatchEarlyCut
 		if c.BatchSize > 0 {
 			o.BatchSize = c.BatchSize
 		}

