@@ -28,6 +28,7 @@ var latencyTable = []string{
 	"pbft_commit_latency",
 	"pbft_exec_latency",
 	"pbft_wal_append_latency",
+	"pbft_checkpoint_latency",
 	"storage_wal_append_latency",
 	"storage_wal_fsync_latency",
 	"storage_snapshot_save_latency",

@@ -44,9 +44,11 @@ type Store struct {
 	// whose write-set applied their staged values (CommitStaged). The
 	// index is resolution metadata for height-pinned readers — it is not
 	// part of replicated state, never enters the digest, and is bounded
-	// FIFO at commitCap entries.
-	commits map[string]uint64
-	commitQ []string
+	// FIFO at commitCap entries: commitQ is a ring of the recorded ids
+	// whose oldest entry, once it is full, sits at commitHead.
+	commits    map[string]uint64
+	commitQ    []string
+	commitHead int
 }
 
 type sealedView struct {
@@ -388,7 +390,8 @@ func (s *Store) Head() *Reader {
 // write-set that produced the current version. The executor calls it
 // right after applying a transaction whose invocation committed staged
 // state (see chaincode.Result.Committed). Idempotent per txid, so WAL
-// replay after a restart does not double-enter the FIFO.
+// replay after a restart does not double-enter the FIFO. O(1): once the
+// index is full the new id overwrites the oldest in place.
 func (s *Store) RecordCommit(txid string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -396,12 +399,13 @@ func (s *Store) RecordCommit(txid string) {
 		return
 	}
 	s.commits[txid] = s.version
-	s.commitQ = append(s.commitQ, txid)
-	if len(s.commitQ) > commitCap {
-		drop := s.commitQ[0]
-		s.commitQ = append(s.commitQ[:0:0], s.commitQ[1:]...)
-		delete(s.commits, drop)
+	if len(s.commitQ) < commitCap {
+		s.commitQ = append(s.commitQ, txid)
+		return
 	}
+	delete(s.commits, s.commitQ[s.commitHead])
+	s.commitQ[s.commitHead] = txid
+	s.commitHead = (s.commitHead + 1) % commitCap
 }
 
 // CommittedAt reports the version at which txid's staged values were
@@ -592,5 +596,5 @@ func (s *Store) Restore(sn Snapshot) {
 	s.digest = sn.Digest
 	s.sealed = nil
 	s.commits = make(map[string]uint64)
-	s.commitQ = nil
+	s.commitQ, s.commitHead = nil, 0
 }

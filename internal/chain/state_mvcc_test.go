@@ -175,6 +175,42 @@ func TestCommitRecordIndex(t *testing.T) {
 	}
 }
 
+// TestCommitRecordIndexAgesOut crosses commitCap: the index stays at
+// commitCap entries, each record past the cap evicts exactly the oldest,
+// and the newest stays answerable with the version it was recorded at.
+func TestCommitRecordIndexAgesOut(t *testing.T) {
+	s := NewStore()
+	const extra = 3
+	for i := 0; i < commitCap+extra; i++ {
+		if i == commitCap {
+			s.Apply(WriteSet{{Key: "a", Value: []byte("past the cap")}})
+		}
+		s.RecordCommit("tx" + strconv.Itoa(i))
+	}
+	if len(s.commits) != commitCap || len(s.commitQ) != commitCap {
+		t.Fatalf("index holds %d ids in a ring of %d, want %d", len(s.commits), len(s.commitQ), commitCap)
+	}
+	for i := 0; i < extra; i++ {
+		if _, ok := s.CommittedAt("tx" + strconv.Itoa(i)); ok {
+			t.Fatalf("tx%d still answerable after %d newer records", i, commitCap)
+		}
+	}
+	if v, ok := s.CommittedAt("tx" + strconv.Itoa(extra)); !ok || v != 0 {
+		t.Fatalf("oldest surviving record tx%d at %d ok=%v, want version 0", extra, v, ok)
+	}
+	if v, ok := s.CommittedAt("tx" + strconv.Itoa(commitCap+extra-1)); !ok || v != 1 {
+		t.Fatalf("newest record at %d ok=%v, want version 1", v, ok)
+	}
+	// The ring keeps evicting in record order on its next lap.
+	s.RecordCommit("one more")
+	if _, ok := s.CommittedAt("tx" + strconv.Itoa(extra)); ok {
+		t.Fatal("the oldest record survived an eviction")
+	}
+	if _, ok := s.CommittedAt("one more"); !ok {
+		t.Fatal("the newest record is not answerable")
+	}
+}
+
 func TestRestoreResetsRetention(t *testing.T) {
 	s := NewStore()
 	s.Apply(WriteSet{{Key: "a", Value: []byte("1")}})

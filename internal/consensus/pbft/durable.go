@@ -2,7 +2,6 @@ package pbft
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/chain"
 	"repro/internal/chaincode"
@@ -72,8 +71,9 @@ func (r *Replica) appendDecided(e *entry) bool {
 }
 
 // snapshotStableState materializes the stable-checkpoint view into a
-// transferable snapshot. The copy happens outside the store's write lock
-// (the view is immutable), so execution never stalls behind it; the
+// snapshot for a state-sync reply (durable saves stream the view instead;
+// see persistDurableSnapshot). The copy happens outside the store's write
+// lock (the view is immutable), so execution never stalls behind it; the
 // histogram tracks how long the materialization itself takes.
 func (r *Replica) snapshotStableState() chain.Snapshot {
 	var start int64
@@ -89,23 +89,13 @@ func (r *Replica) snapshotStableState() chain.Snapshot {
 
 // persistDurableSnapshot saves the current stable-checkpoint state as the
 // recovery root and releases the WAL prefix it covers. Called wherever
-// stableView is refreshed.
+// stableView is refreshed. The state is streamed from the pinned view and
+// the id lists are the stable capture's prefixes, so nothing here sorts or
+// materializes a map.
 func (r *Replica) persistDurableSnapshot() {
 	if r.durable == nil || r.stableSnapSeq == 0 || r.stableView == nil {
 		return
 	}
-	var okIDs, failIDs []uint64
-	for _, id := range r.stableExecIDs {
-		if ok, known := r.executedOK[id]; known {
-			if ok {
-				okIDs = append(okIDs, id)
-			} else {
-				failIDs = append(failIDs, id)
-			}
-		}
-	}
-	sort.Slice(okIDs, func(i, j int) bool { return okIDs[i] < okIDs[j] })
-	sort.Slice(failIDs, func(i, j int) bool { return failIDs[i] < failIDs[j] })
 	snap := storage.Snapshot{
 		Seq: r.stableSnapSeq,
 		// The capture reflects everything executed so far, which can run
@@ -116,10 +106,10 @@ func (r *Replica) persistDurableSnapshot() {
 		// Seq instead would make every restart fail with a phantom gap.
 		ExecutedThrough: r.executedThrough,
 		View:            r.view,
-		State:           r.snapshotStableState(),
-		ExecIDs:         r.stableExecIDs,
-		OKIDs:           okIDs,
-		FailIDs:         failIDs,
+		StateView:       r.stableView,
+		ExecIDs:         r.stableExec.ids,
+		OKIDs:           r.stableExec.ok,
+		FailIDs:         r.stableExec.fail,
 		Cert:            encodeCert(r.stableCert),
 	}
 	if r.durableExtra != nil {
@@ -160,17 +150,7 @@ func (r *Replica) RestoreDurableSnapshot(s *storage.Snapshot) ([]byte, error) {
 		return nil, err
 	}
 	r.store.Restore(s.State)
-	r.executedTxIDs = make(map[uint64]bool, len(s.ExecIDs))
-	for _, id := range s.ExecIDs {
-		r.executedTxIDs[id] = true
-	}
-	r.executedOK = make(map[uint64]bool, len(s.OKIDs)+len(s.FailIDs))
-	for _, id := range s.OKIDs {
-		r.executedOK[id] = true
-	}
-	for _, id := range s.FailIDs {
-		r.executedOK[id] = false
-	}
+	r.executed.restore(s.ExecIDs, s.OKIDs, s.FailIDs)
 	// Execution resumes where the capture left off, which can be past the
 	// checkpoint itself (see persistDurableSnapshot); the checkpoint
 	// watermarks stay at Seq, the sequence the certificate covers.
@@ -186,7 +166,7 @@ func (r *Replica) RestoreDurableSnapshot(s *storage.Snapshot) ([]byte, error) {
 	r.stableView = r.store.Head()
 	r.stableSnapSeq = s.Seq
 	r.stableCert = cert
-	r.stableExecIDs = s.ExecIDs
+	r.stableExec = r.executed.capture()
 	return s.Stage, nil
 }
 
@@ -215,12 +195,11 @@ func (r *Replica) ReplayDecided(seq uint64, block *chain.Block) error {
 	}
 	results := make([]chaincode.Result, 0, len(block.Txs))
 	for _, tx := range block.Txs {
-		if r.executedTxIDs[tx.ID] {
+		if r.executed.has(tx.ID) {
 			continue
 		}
-		r.executedTxIDs[tx.ID] = true
 		res := r.deps.Registry.Execute(r.store, tx)
-		r.executedOK[tx.ID] = res.OK()
+		r.executed.add(tx.ID, res.OK())
 		for _, dtx := range res.Committed {
 			r.store.RecordCommit(dtx)
 		}

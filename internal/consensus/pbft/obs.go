@@ -29,11 +29,13 @@ type pbftMetrics struct {
 	execLatency   *obs.Histogram // execution start -> finish
 	walAppend     *obs.Histogram // journal-before-execute append
 
-	viewChanges     *obs.Counter
-	checkpointLag   *obs.Gauge // executedThrough - stable checkpoint
-	executedBatches *obs.Counter
-	executedTxs     *obs.Counter
-	snapshotCopy    *obs.Histogram // stable-view snapshot materialization
+	viewChanges       *obs.Counter
+	checkpointLag     *obs.Gauge // executedThrough - stable checkpoint
+	executedBatches   *obs.Counter
+	executedTxs       *obs.Counter
+	executedIDs       *obs.Gauge     // size of the executed-transaction dedup set
+	checkpointLatency *obs.Histogram // all of advanceStable, durable save included
+	snapshotCopy      *obs.Histogram // stable-view map materialization (state-sync replies)
 
 	// Conflict-aware parallel execution.
 	parexParallel *obs.Counter   // blocks executed in parallel
@@ -62,11 +64,13 @@ func newPBFTMetrics(hub *obs.Hub, node uint32) *pbftMetrics {
 		execLatency:   reg.Histogram("pbft_exec_latency"),
 		walAppend:     reg.Histogram("pbft_wal_append_latency"),
 
-		viewChanges:     reg.Counter("pbft_view_changes_total"),
-		checkpointLag:   reg.Gauge("pbft_checkpoint_lag"),
-		executedBatches: reg.Counter("pbft_executed_batches_total"),
-		executedTxs:     reg.Counter("pbft_executed_txs_total"),
-		snapshotCopy:    reg.Histogram("pbft_snapshot_copy_latency"),
+		viewChanges:       reg.Counter("pbft_view_changes_total"),
+		checkpointLag:     reg.Gauge("pbft_checkpoint_lag"),
+		executedBatches:   reg.Counter("pbft_executed_batches_total"),
+		executedTxs:       reg.Counter("pbft_executed_txs_total"),
+		executedIDs:       reg.Gauge("pbft_executed_ids"),
+		checkpointLatency: reg.Histogram("pbft_checkpoint_latency"),
+		snapshotCopy:      reg.Histogram("pbft_snapshot_copy_latency"),
 
 		parexParallel: reg.Counter("pbft_parexec_parallel_total"),
 		parexSerial:   reg.Counter("pbft_parexec_serial_total"),

@@ -57,7 +57,7 @@ func (r *Replica) planParallel(txs []chain.Tx) *execPlan {
 	list := make([]chain.Tx, 0, len(txs))
 	seen := make(map[uint64]struct{}, len(txs))
 	for _, tx := range txs {
-		if r.executedTxIDs[tx.ID] {
+		if r.executed.has(tx.ID) {
 			continue
 		}
 		if _, dup := seen[tx.ID]; dup {

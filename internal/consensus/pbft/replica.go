@@ -109,13 +109,12 @@ type Replica struct {
 	executedThrough uint64
 	executing       bool
 	execEntry       *entry // entry occupying the CPU while executing
-	executedTxIDs   map[uint64]bool
-	// executedOK records the execution result of locally-executed
-	// transactions (absent for ids learned via snapshot install, whose
-	// results this replica never saw), so a duplicate request for an
-	// executed transaction can be answered with a fresh Reply instead of
-	// silence — the re-reply path client retransmission relies on.
-	executedOK   map[uint64]bool
+	// executed is the dedup set with each locally executed transaction's
+	// result (unknown for ids learned via snapshot install, whose results
+	// this replica never saw), so a duplicate request for an executed
+	// transaction can be answered with a fresh Reply instead of silence —
+	// the re-reply path client retransmission relies on.
+	executed     execSet
 	pending      map[uint64]chain.Tx
 	pendingOrder []uint64
 	batchedIn    map[uint64]uint64 // txID -> seq
@@ -132,14 +131,14 @@ type Replica struct {
 	checkpoints map[uint64]map[int]*checkpointMsg
 
 	// State-sync bookkeeping (see statesync.go). stableView is the
-	// immutable height-pinned view of the last stable checkpoint's state;
-	// snapshots for state transfer and durable persistence materialize
-	// from it on demand instead of deep-copying under the store's write
-	// lock.
+	// immutable height-pinned view of the last stable checkpoint's state:
+	// state-transfer snapshots materialize from it on demand and durable
+	// snapshots stream from it, instead of deep-copying under the store's
+	// write lock.
 	stableView    *chain.Reader
 	stableSnapSeq uint64
 	stableCert    []*checkpointMsg
-	stableExecIDs []uint64
+	stableExec    execLogs // executed's capture at the stable checkpoint
 	lastSyncReq   int64
 	lastNewView   *newViewMsg
 
@@ -206,22 +205,21 @@ func New(opts Options, deps Deps) *Replica {
 		panic("pbft: committee larger than maxCommittee; widen voteSet")
 	}
 	r := &Replica{
-		opts:          opts,
-		deps:          deps,
-		ep:            deps.Endpoint,
-		entries:       make(map[uint64]*entry),
-		executedTxIDs: make(map[uint64]bool),
-		executedOK:    make(map[uint64]bool),
-		pending:       make(map[uint64]chain.Tx),
-		batchedIn:     make(map[uint64]uint64),
-		ledger:        chain.NewLedger(),
-		store:         deps.Store,
-		vcVotes:       make(map[uint64]map[int]*viewChangeMsg),
-		checkpoints:   make(map[uint64]map[int]*checkpointMsg),
-		replayVotes:   make(map[uint64]map[blockcrypto.Digest]map[int]bool),
-		replayBlocks:  make(map[blockcrypto.Digest]*chain.Block),
-		intakeTokens:  opts.IntakeCap, // start with a full bucket
-		durable:       deps.Durable,
+		opts:         opts,
+		deps:         deps,
+		ep:           deps.Endpoint,
+		entries:      make(map[uint64]*entry),
+		executed:     newExecSet(),
+		pending:      make(map[uint64]chain.Tx),
+		batchedIn:    make(map[uint64]uint64),
+		ledger:       chain.NewLedger(),
+		store:        deps.Store,
+		vcVotes:      make(map[uint64]map[int]*viewChangeMsg),
+		checkpoints:  make(map[uint64]map[int]*checkpointMsg),
+		replayVotes:  make(map[uint64]map[blockcrypto.Digest]map[int]bool),
+		replayBlocks: make(map[blockcrypto.Digest]*chain.Block),
+		intakeTokens: opts.IntakeCap, // start with a full bucket
+		durable:      deps.Durable,
 	}
 	r.engine = deps.Platform.Engine()
 	if r.store == nil {
@@ -312,10 +310,11 @@ func (r *Replica) StableCheckpoint() uint64 { return r.h }
 // transaction injected by a faster peer can execute through consensus
 // before this node's manager registers its own interest in it.
 func (r *Replica) ExecutedOK(id uint64) (ok, executed bool) {
-	if !r.executedTxIDs[id] {
+	if !r.executed.has(id) {
 		return false, false
 	}
-	return r.executedOK[id], true
+	ok, _ = r.executed.result(id)
+	return ok, true
 }
 
 // Endpoint returns the replica's network attachment, letting composing
@@ -473,12 +472,12 @@ func (r *Replica) admitRequest() bool {
 const maxPending = 20000
 
 func (r *Replica) handleRequest(tx chain.Tx, external bool) {
-	if r.executedTxIDs[tx.ID] {
+	if r.executed.has(tx.ID) {
 		// A retransmitted request for an executed transaction means the
 		// client may have missed our reply: answer it again (only when we
 		// executed it ourselves and therefore know the result).
 		if external && r.opts.SendReplies && tx.Client != 0 {
-			if ok, known := r.executedOK[tx.ID]; known {
+			if ok, known := r.executed.result(tx.ID); known {
 				rep := Reply{TxID: tx.ID, OK: ok, Replica: r.self()}
 				r.ep.Send(simnet.Message{To: simnet.NodeID(tx.Client), Class: simnet.ClassConsensus,
 					Type: MsgReply, Payload: rep, Size: wire.PayloadSize(MsgReply, rep)})
@@ -758,8 +757,12 @@ func (r *Replica) retransmitOldest() {
 	r.broadcast(msgPrePrepare, msg)
 }
 
+// takeBatch cuts the next batch from the request pool in arrival order.
+// The batch is sized exactly: it becomes the proposed block's Txs, which
+// the ledger keeps for the replica's lifetime, so a BatchSize-capacity
+// array behind a short batch would be retained unused.
 func (r *Replica) takeBatch() []chain.Tx {
-	batch := make([]chain.Tx, 0, r.opts.BatchSize)
+	batch := make([]chain.Tx, 0, min(r.unbatchedCount(), r.opts.BatchSize))
 	kept := r.pendingOrder[:0]
 	for _, id := range r.pendingOrder {
 		tx, ok := r.pending[id]
@@ -1227,10 +1230,9 @@ func (r *Replica) finishExecute(e *entry) {
 	plan := r.planParallel(e.block.Txs)
 	results := make([]chaincode.Result, 0, len(e.block.Txs))
 	for _, tx := range e.block.Txs {
-		if r.executedTxIDs[tx.ID] {
+		if r.executed.has(tx.ID) {
 			continue
 		}
-		r.executedTxIDs[tx.ID] = true
 		var res chaincode.Result
 		if plan != nil {
 			res = plan.results[tx.ID]
@@ -1240,7 +1242,7 @@ func (r *Replica) finishExecute(e *entry) {
 		} else {
 			res = r.deps.Registry.Execute(r.store, tx)
 		}
-		r.executedOK[tx.ID] = res.OK()
+		r.executed.add(tx.ID, res.OK())
 		for _, dtx := range res.Committed {
 			r.store.RecordCommit(dtx)
 		}
@@ -1268,6 +1270,7 @@ func (r *Replica) finishExecute(e *entry) {
 		m.hub.RecordSeq(m.node, obs.StageExecEnd, e.seq, int64(len(e.block.Txs)))
 		m.executedBatches.Inc()
 		m.executedTxs.Add(uint64(len(results)))
+		m.executedIDs.Set(int64(r.executed.len()))
 		if lag := int64(r.executedThrough) - int64(r.h); lag >= 0 {
 			m.checkpointLag.Set(lag)
 		}
@@ -1337,6 +1340,10 @@ func (r *Replica) recordCheckpoint(m *checkpointMsg) {
 }
 
 func (r *Replica) advanceStable(seq uint64, digest blockcrypto.Digest, ck map[int]*checkpointMsg) {
+	if m := r.met; m != nil {
+		start := m.hub.Now()
+		defer func() { m.checkpointLatency.Observe(m.hub.Now() - start) }()
+	}
 	r.h = seq
 	if m := r.met; m != nil {
 		if lag := int64(r.executedThrough) - int64(r.h); lag >= 0 {
@@ -1356,14 +1363,9 @@ func (r *Replica) advanceStable(seq uint64, digest blockcrypto.Digest, ck map[in
 		r.store.SetFloor(r.stableView.Version())
 		r.stableSnapSeq = seq
 		r.stableCert = certFor(ck, digest)
-		ids := make([]uint64, 0, len(r.executedTxIDs))
-		for id := range r.executedTxIDs {
-			ids = append(ids, id)
-		}
-		// Sorted: this list travels in state-transfer snapshots, so its
-		// order must not depend on map iteration.
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		r.stableExecIDs = ids
+		// The dedup set as of now (execution may have run past seq, see
+		// persistDurableSnapshot): prefixes of its execution-order logs.
+		r.stableExec = r.executed.capture()
 		r.persistDurableSnapshot()
 	}
 	// Sorted holders: maybeRequestSync asks the first two, so map-order

@@ -39,7 +39,8 @@ type stateRespMsg struct {
 	Seq  uint64
 	Snap chain.Snapshot
 	Cert []*checkpointMsg
-	// ExecIDs is the executed-transaction dedup set as of Seq. Without
+	// ExecIDs is the executed-transaction dedup set as of Seq, in the
+	// sender's execution order (the receiver treats it as a set). Without
 	// it a restored replica would skip/re-execute duplicate submissions
 	// differently from its peers and its state digest would diverge
 	// forever (checkpoints could never stabilize again).
@@ -102,7 +103,7 @@ func (r *Replica) handleStateReq(m *stateReqMsg) {
 		Seq:     r.stableSnapSeq,
 		Snap:    r.snapshotStableState(),
 		Cert:    r.stableCert,
-		ExecIDs: r.stableExecIDs,
+		ExecIDs: r.stableExec.ids,
 		Replica: r.self(),
 	}
 	r.sendTo(r.opts.Committee.Nodes[m.Replica], msgStateResp, resp)
@@ -136,9 +137,8 @@ func (r *Replica) handleStateResp(m *stateRespMsg) {
 func (r *Replica) installSnapshot(seq uint64, snap chain.Snapshot, cert []*checkpointMsg, execIDs []uint64) {
 	r.ep.CPU().Charge(stateSyncCost)
 	r.store.Restore(snap)
-	r.executedTxIDs = make(map[uint64]bool, len(execIDs))
+	r.executed.install(execIDs)
 	for _, id := range execIDs {
-		r.executedTxIDs[id] = true
 		r.dropRequest(id)
 	}
 	r.executedThrough = seq
@@ -159,7 +159,7 @@ func (r *Replica) installSnapshot(seq uint64, snap chain.Snapshot, cert []*check
 	r.stableView = r.store.Head()
 	r.stableSnapSeq = seq
 	r.stableCert = cert
-	r.stableExecIDs = execIDs
+	r.stableExec = r.executed.capture()
 	// A peer-supplied snapshot is as final as a local stable checkpoint:
 	// make it the durable recovery root too, so a crash right after
 	// catch-up does not rewind to the pre-sync state.

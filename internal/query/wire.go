@@ -169,9 +169,9 @@ func WireSamples() []simnet.Message {
 		}),
 		msg(MsgQueryChunk, &Chunk{
 			QID: 7, Sub: 1, Version: 42, Next: "c_acc7",
-			Rows:     []Row{{K: "c_acc1", V: []byte("1000000")}},
-			Deltas:   []StagedDelta{{Txid: "ctl1-9", Key: "c_acc1", Delta: -25}},
-			Count:    1, Sum: 1000000,
+			Rows:   []Row{{K: "c_acc1", V: []byte("1000000")}},
+			Deltas: []StagedDelta{{Txid: "ctl1-9", Key: "c_acc1", Delta: -25}},
+			Count:  1, Sum: 1000000,
 			Groups:   []Group{{Key: "c_", Sum: 1000000, Count: 1}},
 			Resolved: []Resolution{{Txid: "ctl1-9", Committed: true, Version: 41}},
 		}),

@@ -85,8 +85,8 @@ type DiskOptions struct {
 	Keep int
 	// Logf, when set, receives one-line recovery and damage notices.
 	Logf func(format string, args ...any)
-	// Metrics, when set, receives append/fsync/snapshot timings (see
-	// NewMetrics). nil disables instrumentation.
+	// Metrics, when set, receives append/fsync/snapshot timings and
+	// snapshot sizes (see NewMetrics). nil disables instrumentation.
 	Metrics *Metrics
 }
 
@@ -528,6 +528,7 @@ func (d *Disk) SaveSnapshot(snap Snapshot) error {
 	d.enc.Reset()
 	encodeSnapshotBody(&d.enc, snap, segBase, d.nextOrd)
 	body := d.enc.Bytes()
+	d.opts.Metrics.observeSnapshotBytes(len(body))
 	var hdr [16]byte
 	copy(hdr[:8], snapMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))

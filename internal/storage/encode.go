@@ -59,7 +59,11 @@ func encodeSnapshotBody(e *wire.Encoder, snap Snapshot, segBase, ord uint64) {
 	e.Uvarint(snap.Seq)
 	e.Uvarint(snap.ExecutedThrough)
 	e.Uvarint(snap.View)
-	wire.PutSnapshot(e, snap.State)
+	if snap.StateView != nil {
+		wire.PutSnapshotFrom(e, snap.StateView)
+	} else {
+		wire.PutSnapshot(e, snap.State)
+	}
 	wire.PutUint64s(e, snap.ExecIDs)
 	wire.PutUint64s(e, snap.OKIDs)
 	wire.PutUint64s(e, snap.FailIDs)

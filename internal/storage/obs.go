@@ -18,6 +18,7 @@ type Metrics struct {
 	stalls        *obs.Counter
 	segmentRolls  *obs.Counter
 	snapshotSave  *obs.Histogram
+	snapshotBytes *obs.Histogram
 }
 
 // NewMetrics registers the storage metric family on reg.
@@ -29,6 +30,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		stalls:        reg.Counter("storage_wal_stall_total"),
 		segmentRolls:  reg.Counter("storage_wal_segment_rolls_total"),
 		snapshotSave:  reg.Histogram("storage_snapshot_save_latency"),
+		snapshotBytes: reg.SizeHistogram("storage_snapshot_bytes"),
 	}
 }
 
@@ -62,4 +64,11 @@ func (m *Metrics) observeSnapshot(ns int64) {
 		return
 	}
 	m.snapshotSave.Observe(ns)
+}
+
+func (m *Metrics) observeSnapshotBytes(n int) {
+	if m == nil {
+		return
+	}
+	m.snapshotBytes.ObserveSize(int64(n))
 }

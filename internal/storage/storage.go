@@ -68,17 +68,24 @@ type Snapshot struct {
 	ExecutedThrough uint64
 	// View is the replica's view at capture time.
 	View uint64
-	// State is the world state.
+	// State is the world state. Recover always fills it.
 	State chain.Snapshot
-	// ExecIDs is the executed-transaction dedup set at Seq, sorted.
+	// StateView, when set, is saved in place of State: the pinned view is
+	// streamed in key order straight into the snapshot body, with the
+	// same bytes State would encode to, so no map is materialized.
+	StateView *chain.Reader
+	// ExecIDs is the executed-transaction dedup set at Seq, in execution
+	// order (older snapshot files hold it sorted; readers treat it as a set).
 	ExecIDs []uint64
-	// OKIDs is the subset of ExecIDs whose execution succeeded, sorted.
+	// OKIDs is the subset of ExecIDs whose execution succeeded, in
+	// execution order.
 	OKIDs []uint64
 	// FailIDs is the subset of ExecIDs that executed locally with an
-	// error, sorted. Ids in ExecIDs but in neither OKIDs nor FailIDs were
-	// learned through a network snapshot, so this replica never observed
-	// their result — the three-way split survives restart because it
-	// drives client re-replies (answered only for locally-known results).
+	// error, in execution order. Ids in ExecIDs but in neither OKIDs nor
+	// FailIDs were learned through a network snapshot, so this replica
+	// never observed their result — the three-way split survives restart
+	// because it drives client re-replies (answered only for locally-known
+	// results).
 	FailIDs []uint64
 	// Cert is the checkpoint certificate that made Seq stable, encoded by
 	// the consensus layer.

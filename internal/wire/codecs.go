@@ -258,6 +258,23 @@ func PutSnapshot(e *Encoder, s chain.Snapshot) {
 	e.Digest(s.Digest)
 }
 
+// PutSnapshotFrom streams the state pinned by r, writing exactly the bytes
+// PutSnapshot(e, r.Snapshot()) writes. The reader's chunk tree is already
+// in key order, so the walk needs no sort and materializes no map.
+func PutSnapshotFrom(e *Encoder, r *chain.Reader) {
+	e.Uvarint(uint64(r.Len()))
+	for it := r.Iter("", ""); ; {
+		k, v, ok := it.Next()
+		if !ok {
+			break
+		}
+		e.String(k)
+		e.ByteSlice(v)
+	}
+	e.Uvarint(r.Version())
+	e.Digest(r.Digest())
+}
+
 // Snapshot reads a chain.Snapshot.
 func Snapshot(d *Decoder) chain.Snapshot {
 	n := d.Count(2)

@@ -10,7 +10,7 @@
 //     gateways) on a deterministic discrete-event simulator standing in
 //     for the paper's 100-server cluster / 1,400-node GCP testbed.
 //   - RunExperiment regenerates any table or figure from the paper's
-//     evaluation; see DESIGN.md for the experiment index.
+//     evaluation; see EXPERIMENTS.md for the experiment index.
 //
 // Quick start:
 //
