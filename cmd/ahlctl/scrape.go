@@ -4,7 +4,8 @@ package main
 // replica's /snapshot (and optionally /trace) over HTTP, merges the
 // per-node registries — counters and gauges sum, histograms merge
 // bucket-by-bucket — and prints a latency-breakdown table for the live
-// stack's stage histograms plus a trace-derived span breakdown.
+// stack's stage histograms, the largest node's recovery replay bound,
+// and a trace-derived span breakdown.
 
 import (
 	"flag"
@@ -62,6 +63,9 @@ func runScrape(args []string) {
 		Histograms: make(map[string]obs.HistogramSnapshot),
 	}
 	var events []obs.Event
+	// storage_wal_bytes_since_root bounds each node's own boot replay, so
+	// the largest node is reported, not the sum.
+	maxReplay, maxReplayNode := int64(-1), 0
 	scraped, skipped := 0, 0
 	for _, n := range cfg.ReplicaNodes() {
 		if n.MetricsAddr == "" {
@@ -73,6 +77,9 @@ func runScrape(args []string) {
 			log.Printf("ahlctl scrape: node %d (%s): %v", n.ID, n.MetricsAddr, err)
 			skipped++
 			continue
+		}
+		if v, ok := snap.Gauges[walSinceRootGauge]; ok && v > maxReplay {
+			maxReplay, maxReplayNode = v, n.ID
 		}
 		mergeSnapshot(&merged, snap)
 		if *traces {
@@ -92,6 +99,10 @@ func runScrape(args []string) {
 
 	printLatencyTable(merged)
 	printCountersOfInterest(merged, cfg)
+	if maxReplay >= 0 {
+		fmt.Printf("recovery replay bound (largest journaling node)\n")
+		fmt.Printf("  %-40s %d B (node %d)\n\n", walSinceRootGauge, maxReplay, maxReplayNode)
+	}
 	if *traces && len(events) > 0 {
 		printSpanBreakdown(events)
 	}
@@ -180,6 +191,10 @@ func printCountersOfInterest(s obs.Snapshot, cfg *core.ClusterConfig) {
 	}
 	fmt.Println()
 }
+
+// walSinceRootGauge is the WAL a restarted node would replay on top of
+// its newest durable snapshot.
+const walSinceRootGauge = "storage_wal_bytes_since_root"
 
 func printSpanBreakdown(events []obs.Event) {
 	spans := obs.SpanDurations(events)

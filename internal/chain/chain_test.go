@@ -200,6 +200,93 @@ func TestLedgerRejectsBadBlocks(t *testing.T) {
 	}
 }
 
+// appendN appends n one-tx blocks to every ledger in ls, each ledger
+// getting its own copy of the same block.
+func appendN(t *testing.T, n int, ls ...*Ledger) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		b := mkBlock(ls[0], []Tx{{ID: ls[0].Height(), Chaincode: "kvstore", Fn: "put", Args: []string{"k", "v"}}})
+		for _, l := range ls {
+			cp := *b
+			if err := l.Append(&cp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// Property: a ledger pruned at random floors between random appends keeps
+// the heights, tip digest, retained blocks and link checks of a ledger
+// that was never pruned, and agrees with it over exactly its tail.
+func TestLedgerFloorProperty(t *testing.T) {
+	f := func(steps []uint16) bool {
+		full, tail := NewLedger(), NewLedger()
+		for _, s := range steps {
+			appendN(t, int(s%5), full, tail)
+			// Floors past the height clamp; floors below the current one
+			// are no-ops.
+			tail.SetFloor(uint64(s>>3) % (full.Height() + 3))
+			h := full.Height()
+			if tail.Height() != h || tail.TipHash() != full.TipHash() {
+				return false
+			}
+			if h > 0 && tail.TipHash() != full.Block(h-1).Digest() {
+				return false
+			}
+			if tail.VerifyChain() != nil || tail.Floor() > h {
+				return false
+			}
+			for x := uint64(0); x < h+2; x++ {
+				got := tail.Block(x)
+				if x < tail.Floor() || x >= h {
+					if got != nil {
+						return false
+					}
+				} else if got == nil || got.Digest() != full.Block(x).Digest() {
+					return false
+				}
+			}
+			if n, err := Agree(tail, full); err != nil || uint64(n) != h-tail.Floor() {
+				return false
+			}
+		}
+		// Appends continue the same chain after any prune.
+		appendN(t, 3, full, tail)
+		return tail.VerifyChain() == nil && tail.TipHash() == full.TipHash()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLedgerTailCatchesFlippedDigest flips one retained block's header at
+// each position of a pruned ledger: VerifyChain must report it (through
+// the next block's link, the recorded digest below the floor, or the
+// cached tip), and Agree against an untouched copy must find the
+// divergence.
+func TestLedgerTailCatchesFlippedDigest(t *testing.T) {
+	for pos := uint64(4); pos < 10; pos++ {
+		for _, field := range []string{"proposer", "prev"} {
+			a, b := NewLedger(), NewLedger()
+			appendN(t, 10, a, b)
+			a.SetFloor(4)
+			b.SetFloor(2)
+			blk := a.Block(pos)
+			if field == "proposer" {
+				blk.Header.Proposer++
+			} else {
+				blk.Header.PrevHash[0] ^= 1
+			}
+			if err := a.VerifyChain(); err == nil {
+				t.Fatalf("flipped %s at height %d: VerifyChain passed", field, pos)
+			}
+			if _, err := Agree(a, b); err == nil {
+				t.Fatalf("flipped %s at height %d: Agree passed", field, pos)
+			}
+		}
+	}
+}
+
 func TestTxDigestBindsFields(t *testing.T) {
 	base := Tx{ID: 1, Chaincode: "cc", Fn: "f", Args: []string{"a", "b"}, Client: 9}
 	variants := []Tx{

@@ -17,18 +17,26 @@ import (
 //     (tryExecute), so a crash between decide and execute replays the
 //     batch instead of losing it;
 //   - persists a storage.Snapshot — state, dedup sets, the checkpoint
-//     certificate, and the transaction manager's stage blob — whenever a
-//     checkpoint becomes stable with matching local state (advanceStable)
-//     or a peer snapshot is installed (installSnapshot), then lets the
-//     backend reclaim the WAL prefix the snapshot covers.
+//     certificate, and the transaction manager's stage blob — as the
+//     durable recovery root, then lets the backend reclaim the WAL prefix
+//     the snapshot covers. A checkpoint that becomes stable with matching
+//     local state (advanceStable) saves a root only when the backend
+//     reports one due (storage.Backend.RootDue: for the disk engine, once
+//     the WAL has rolled a segment since the last root); the stable
+//     checkpoint itself stays frequent, in-memory bookkeeping. An
+//     installed peer snapshot (installSnapshot) always becomes the root,
+//     because the WAL does not hold the state it supplied;
+//   - appends a checkpoint record whenever the stable checkpoint advances
+//     (journalStable), because roots are sparse: the tail after one can run
+//     many checkpoint windows past its watermark.
 //
 // Boot recovery is driven from the outside (internal/core's LiveNode):
 // RestoreDurableSnapshot rewinds the replica to the snapshot, then
 // ReplayDecided re-executes each WAL block in order — interleaved with
 // the manager's stage records so cross-layer causality is preserved —
-// and finally ResyncWithPeers uses the existing statesync/replay
-// protocol to fetch whatever the committee decided while the process
-// was down.
+// while ReplayCheckpoint moves the watermark along with it, and finally
+// ResyncWithPeers uses the existing statesync/replay protocol to fetch
+// whatever the committee decided while the process was down.
 
 // OnStorageFatal installs the callback invoked when a durability write
 // fails. Losing the WAL means the replica can no longer honor its
@@ -70,6 +78,21 @@ func (r *Replica) appendDecided(e *entry) bool {
 	return true
 }
 
+// journalStable records that seq became the stable checkpoint. Without it
+// boot recovery would resume the watermark at the root's checkpoint while
+// replay executes the whole tail after it: once that tail is longer than
+// the window, the leader can assign nothing and followers refuse every
+// proposal, and when the whole committee restarted together no peer is
+// ahead to move the watermark for it.
+func (r *Replica) journalStable(seq uint64) {
+	if r.durable == nil {
+		return
+	}
+	if err := r.durable.Append(storage.Record{Kind: storage.KindCheckpoint, Seq: seq}); err != nil {
+		r.storageFatal(fmt.Errorf("pbft: WAL checkpoint record at seq %d: %w", seq, err))
+	}
+}
+
 // snapshotStableState materializes the stable-checkpoint view into a
 // snapshot for a state-sync reply (durable saves stream the view instead;
 // see persistDurableSnapshot). The copy happens outside the store's write
@@ -88,10 +111,11 @@ func (r *Replica) snapshotStableState() chain.Snapshot {
 }
 
 // persistDurableSnapshot saves the current stable-checkpoint state as the
-// recovery root and releases the WAL prefix it covers. Called wherever
-// stableView is refreshed. The state is streamed from the pinned view and
-// the id lists are the stable capture's prefixes, so nothing here sorts or
-// materializes a map.
+// recovery root and releases the WAL prefix it covers. Called after
+// stableView is refreshed: by advanceStable when the backend reports a
+// root due, by installSnapshot always. The state is streamed from the
+// pinned view and the id lists are the stable capture's prefixes, so
+// nothing here sorts or materializes a map.
 func (r *Replica) persistDurableSnapshot() {
 	if r.durable == nil || r.stableSnapSeq == 0 || r.stableView == nil {
 		return
@@ -215,6 +239,21 @@ func (r *Replica) ReplayDecided(seq uint64, block *chain.Block) error {
 		r.onExec(consensus.BlockEvent{Block: blk, Results: results, Time: r.engine.Now()})
 	}
 	return nil
+}
+
+// ReplayCheckpoint replays one WAL checkpoint record during boot
+// recovery: the watermark returns to where it stood before the crash.
+// Only the watermark moves. The root's state view and certificate stay
+// what this replica serves to state-sync requests, since no captured
+// state backs seq.
+func (r *Replica) ReplayCheckpoint(seq uint64) {
+	if seq <= r.h {
+		return
+	}
+	r.h = seq
+	if r.seqAssign < seq {
+		r.seqAssign = seq
+	}
 }
 
 // ResyncWithPeers asks the committee for anything decided while this

@@ -63,31 +63,85 @@ func (tc *testCluster) run(d time.Duration) { tc.engine.Run(sim.Time(d)) }
 
 func (tc *testCluster) requireAgreement(t *testing.T, minExecuted int) {
 	t.Helper()
-	q := tc.bc.Committee.Quorum
-	ok := 0
-	var refLedger *chain.Ledger
-	for _, r := range tc.bc.Replicas {
-		if r.Executed() >= minExecuted {
-			ok++
-			if refLedger == nil {
-				refLedger = r.Ledger()
-			}
-		}
+	if err := tc.agreement(minExecuted); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// agreement checks that a quorum of replicas executed at least
+// minExecuted transactions and that every ledger verifies and agrees with
+// the first such replica's over the heights both still hold (ledgers keep
+// only their tail from the last stable checkpoint's block). Two replicas
+// that both executed through the higher of their stable checkpoints each
+// still hold that checkpoint's block, so they must share a retained
+// height, or their agreement would go unchecked.
+func (tc *testCluster) agreement(minExecuted int) error {
+	var ref *Replica
+	caughtUp := 0
+	for i, r := range tc.bc.Replicas {
 		if err := r.Ledger().VerifyChain(); err != nil {
-			t.Fatalf("replica ledger broken: %v", err)
+			return fmt.Errorf("replica %d ledger broken: %v", i, err)
 		}
-	}
-	if ok < q {
-		t.Fatalf("only %d replicas executed >= %d txs, want quorum %d", ok, minExecuted, q)
-	}
-	// Safety: all replicas that executed to a height agree on each block.
-	for h := uint64(0); h < refLedger.Height(); h++ {
-		want := refLedger.Block(h).Digest()
-		for i, r := range tc.bc.Replicas {
-			if b := r.Ledger().Block(h); b != nil && b.Digest() != want {
-				t.Fatalf("replica %d disagrees at height %d", i, h)
+		if r.Executed() >= minExecuted {
+			caughtUp++
+			if ref == nil {
+				ref = r
 			}
 		}
+	}
+	if q := tc.bc.Committee.Quorum; caughtUp < q {
+		return fmt.Errorf("only %d replicas executed >= %d txs, want quorum %d", caughtUp, minExecuted, q)
+	}
+	for i, r := range tc.bc.Replicas {
+		n, err := chain.Agree(ref.Ledger(), r.Ledger())
+		if err != nil {
+			return fmt.Errorf("replica %d disagrees: %v", i, err)
+		}
+		if n == 0 && pastCommonCheckpoint(ref, r) {
+			return fmt.Errorf("replica %d is past the reference's checkpoint but shares no retained height with it", i)
+		}
+	}
+	return nil
+}
+
+// pastCommonCheckpoint reports whether a and b both executed at least one
+// sequence and through the higher of their stable checkpoints.
+func pastCommonCheckpoint(a, b *Replica) bool {
+	through := min(a.ExecutedThrough(), b.ExecutedThrough())
+	return through > 0 && through >= max(a.StableCheckpoint(), b.StableCheckpoint())
+}
+
+// TestAgreementChecksPrunedLedgers runs single-tx batches past several
+// stable checkpoints, so every ledger keeps only its tail, and checks the
+// agreement helper on it: it passes as run, fails on a flipped digest in
+// a retained block, and fails when a caught-up replica dropped even its
+// checkpoint block and so shares no height with the others.
+func TestAgreementChecksPrunedLedgers(t *testing.T) {
+	tc := newTestCluster(t, 4, VariantAHLPlus, nil, pipelinedTune)
+	tc.engine.Schedule(0, func() { tc.submit(0, 40) })
+	tc.run(20 * time.Second)
+	tc.requireAgreement(t, 40)
+	for i, r := range tc.bc.Replicas {
+		// Block heights run one below sequence numbers here, so a tail that
+		// starts at a checkpoint's own block has floor+1 on a checkpoint.
+		led := r.Ledger()
+		if led.Floor() == 0 || led.Floor() >= led.Height() || (led.Floor()+1)%r.opts.CheckpointEvery != 0 {
+			t.Fatalf("replica %d ledger floor %d of height %d, want a non-empty tail from a checkpoint's block",
+				i, led.Floor(), led.Height())
+		}
+	}
+
+	led := tc.bc.Replicas[1].Ledger()
+	tip := led.Block(led.Height() - 1)
+	tip.Header.Proposer++
+	if err := tc.agreement(40); err == nil {
+		t.Fatal("agreement passed with a flipped digest in a retained block")
+	}
+	tip.Header.Proposer--
+
+	led.SetFloor(led.Height())
+	if err := tc.agreement(40); err == nil {
+		t.Fatal("agreement passed although a caught-up replica shares no retained height")
 	}
 }
 

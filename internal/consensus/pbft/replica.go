@@ -302,6 +302,9 @@ func (r *Replica) Store() *chain.Store { return r.store }
 // StableCheckpoint returns the low watermark.
 func (r *Replica) StableCheckpoint() uint64 { return r.h }
 
+// ExecutedThrough returns the highest sequence number executed so far.
+func (r *Replica) ExecutedThrough() uint64 { return r.executedThrough }
+
 // ExecutedOK reports whether transaction id has already been executed on
 // this replica and, if so, whether it succeeded. ok is false for ids
 // learned only through a snapshot install (the result was never observed
@@ -759,8 +762,8 @@ func (r *Replica) retransmitOldest() {
 
 // takeBatch cuts the next batch from the request pool in arrival order.
 // The batch is sized exactly: it becomes the proposed block's Txs, which
-// the ledger keeps for the replica's lifetime, so a BatchSize-capacity
-// array behind a short batch would be retained unused.
+// the ledger keeps until a later stable checkpoint prunes it, so a
+// BatchSize-capacity array behind a short batch would be retained unused.
 func (r *Replica) takeBatch() []chain.Tx {
 	batch := make([]chain.Tx, 0, min(r.unbatchedCount(), r.opts.BatchSize))
 	kept := r.pendingOrder[:0]
@@ -1345,6 +1348,7 @@ func (r *Replica) advanceStable(seq uint64, digest blockcrypto.Digest, ck map[in
 		defer func() { m.checkpointLatency.Observe(m.hub.Now() - start) }()
 	}
 	r.h = seq
+	r.journalStable(seq)
 	if m := r.met; m != nil {
 		if lag := int64(r.executedThrough) - int64(r.h); lag >= 0 {
 			m.checkpointLag.Set(lag)
@@ -1361,12 +1365,25 @@ func (r *Replica) advanceStable(seq uint64, digest blockcrypto.Digest, ck map[in
 		// valid, new pins below the floor get ErrHeightPruned.
 		r.stableView = r.store.Head()
 		r.store.SetFloor(r.stableView.Version())
+		// The ledger keeps its tail from this checkpoint's block on; the
+		// WAL and peers hold the blocks below. Every executed sequence
+		// appended one block, so seq's block sits executedThrough-seq below
+		// the tip — unless boot recovery restored past it from a snapshot
+		// and the ledger never held it.
+		if lag := r.executedThrough - seq; lag < r.ledger.Height() {
+			r.ledger.SetFloor(r.ledger.Height() - 1 - lag)
+		}
 		r.stableSnapSeq = seq
 		r.stableCert = certFor(ck, digest)
 		// The dedup set as of now (execution may have run past seq, see
 		// persistDurableSnapshot): prefixes of its execution-order logs.
 		r.stableExec = r.executed.capture()
-		r.persistDurableSnapshot()
+		// The checkpoint above is cheap bookkeeping; a durable root copies
+		// all state, so the backend decides when one is worth the WAL it
+		// reclaims.
+		if r.durable != nil && r.durable.RootDue() {
+			r.persistDurableSnapshot()
+		}
 	}
 	// Sorted holders: maybeRequestSync asks the first two, so map-order
 	// iteration here would pick run-dependent donors and break the

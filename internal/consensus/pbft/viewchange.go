@@ -323,6 +323,7 @@ func (r *Replica) adoptNewView(m *newViewMsg) {
 	}
 	if m.StableSeq > r.h {
 		r.h = m.StableSeq
+		r.journalStable(r.h)
 	}
 
 	// Reset per-view consensus state above the stable checkpoint:

@@ -86,7 +86,8 @@ type ClusterConfig struct {
 	// FsyncIntervalMs is the "interval" mode's fsync period (default 50).
 	FsyncIntervalMs int `json:"fsync_interval_ms,omitempty"`
 	// WALSegmentKB overrides the WAL segment roll size in KiB (default
-	// 4096).
+	// 4096). It also paces durable snapshots: one is saved at the first
+	// stable checkpoint after each roll.
 	WALSegmentKB int `json:"wal_segment_kb,omitempty"`
 }
 

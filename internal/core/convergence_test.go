@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/consensus/pbft"
 	"repro/internal/simnet"
 	"repro/internal/tee"
@@ -16,38 +18,54 @@ import (
 // each committee must hold prefix-identical ledgers (safety holds
 // regardless of the network, §4.1).
 
-// assertCommitteeConverged verifies that every pair of live replicas in
-// bc agrees on every block up to their common height, and that each chain
-// verifies.
+// assertCommitteeConverged verifies that every live replica's chain
+// verifies and agrees with the first live replica's over the heights both
+// still hold (ledgers keep only their tail from the last stable
+// checkpoint's block).
 func assertCommitteeConverged(t *testing.T, label string, bc *pbft.BuiltCommittee, skip map[simnet.NodeID]bool) {
 	t.Helper()
+	if err := committeeConverged(bc, skip); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// committeeConverged is assertCommitteeConverged's check. Two replicas
+// that both executed through the higher of their stable checkpoints each
+// still hold that checkpoint's block, so they must share a retained
+// height, or their agreement would go unchecked.
+func committeeConverged(bc *pbft.BuiltCommittee, skip map[simnet.NodeID]bool) error {
 	var ref *pbft.Replica
 	for _, r := range bc.Replicas {
-		if skip[r.Endpoint().ID()] {
+		id := r.Endpoint().ID()
+		if skip[id] {
 			continue
 		}
 		if err := r.Ledger().VerifyChain(); err != nil {
-			t.Fatalf("%s: replica %d chain broken: %v", label, r.Endpoint().ID(), err)
+			return fmt.Errorf("replica %d chain broken: %v", id, err)
 		}
 		if ref == nil {
 			ref = r
-			continue
 		}
-		a, b := ref.Ledger(), r.Ledger()
-		common := a.Height()
-		if b.Height() < common {
-			common = b.Height()
+		n, err := chain.Agree(ref.Ledger(), r.Ledger())
+		if err != nil {
+			return fmt.Errorf("replicas %d and %d: %v", ref.Endpoint().ID(), id, err)
 		}
-		for h := uint64(0); h < common; h++ {
-			if a.Block(h).Digest() != b.Block(h).Digest() {
-				t.Fatalf("%s: replicas %d and %d diverge at height %d",
-					label, ref.Endpoint().ID(), r.Endpoint().ID(), h)
-			}
+		if n == 0 && pastCommonCheckpoint(ref, r) {
+			return fmt.Errorf("replicas %d and %d are past a common checkpoint but share no retained height",
+				ref.Endpoint().ID(), id)
 		}
 	}
 	if ref == nil {
-		t.Fatalf("%s: no live replica to compare", label)
+		return fmt.Errorf("no live replica to compare")
 	}
+	return nil
+}
+
+// pastCommonCheckpoint reports whether a and b both executed at least one
+// sequence and through the higher of their stable checkpoints.
+func pastCommonCheckpoint(a, b *pbft.Replica) bool {
+	through := min(a.ExecutedThrough(), b.ExecutedThrough())
+	return through > 0 && through >= max(a.StableCheckpoint(), b.StableCheckpoint())
 }
 
 func assertSystemConverged(t *testing.T, s *System, skip map[simnet.NodeID]bool) {
@@ -83,6 +101,15 @@ func TestReplicasConvergeOnCleanRun(t *testing.T) {
 		t.Fatal("no payment resolved")
 	}
 	assertSystemConverged(t, s, nil)
+
+	// The check must not pass vacuously: a caught-up replica that dropped
+	// its whole ledger shares no height with the others.
+	bc := s.ShardCommittees[0]
+	led := bc.Replicas[1].Ledger()
+	led.SetFloor(led.Height())
+	if err := committeeConverged(bc, nil); err == nil {
+		t.Fatal("convergence check passed with a caught-up replica holding no retained block")
+	}
 }
 
 func TestReplicasConvergeUnderLossAndEquivocation(t *testing.T) {

@@ -255,10 +255,11 @@ func openBackend(c *ClusterConfig, id simnet.NodeID, reg *obs.Registry) (storage
 
 // recover replays the node's durable state into a freshly built stack:
 // newest valid snapshot first (replica state + the manager's 2PC stage
-// blob), then the WAL tail in order — block records through the replica,
-// stage records through the manager — and finally the managers' recovery
-// completion. Runs before the event loop starts; the sends it triggers
-// (votes, prepares) queue in the engine and go out once the loop runs.
+// blob), then the WAL tail in order — block and checkpoint records through
+// the replica, stage records through the manager — and finally the
+// managers' recovery completion. Runs before the event loop starts; the
+// sends it triggers (votes, prepares) queue in the engine and go out once
+// the loop runs.
 func (n *LiveNode) recover() error {
 	snap, tail, err := n.backend.Recover()
 	if err != nil {
@@ -283,6 +284,8 @@ func (n *LiveNode) recover() error {
 				return fmt.Errorf("live: node %d: %w", n.ID, err)
 			}
 			blocks++
+		case storage.KindCheckpoint:
+			n.Replica.ReplayCheckpoint(rec.Seq)
 		case storage.KindStage:
 			if n.Manager == nil {
 				continue

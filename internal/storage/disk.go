@@ -23,6 +23,9 @@ import (
 // wire-encoded Record. Appends go to the highest segment; a segment rolls
 // when it exceeds SegmentBytes, and SaveSnapshot always rolls so the new
 // snapshot's replay range starts on a segment boundary (its segBase).
+// RootDue turns true once appends roll the log past segBase, so
+// SegmentBytes also paces the snapshots: one per filled segment, not one
+// per stable checkpoint.
 //
 // A snapshot file is [8-byte magic][u32 bodyLen][u32 crc32c][body],
 // written to a temp name, fsynced, renamed, and the directory fsynced —
@@ -126,6 +129,7 @@ type Disk struct {
 	segBase   uint64            // replay floor recorded by the latest valid snapshot
 	snapOrd   uint64            // log ordinal of the first record after that snapshot
 	nextOrd   uint64            // ordinal the next Append will stamp
+	sinceRoot int64             // WAL bytes recovery would replay after that snapshot
 	snapBases map[uint64]uint64 // seq → segBase of every retained valid snapshot
 	recSnap   *Snapshot
 	recTail   []Record
@@ -161,6 +165,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if err := d.openWriter(); err != nil {
 		return nil, err
 	}
+	d.opts.Metrics.setWALSinceRoot(d.sinceRoot)
 	return d, nil
 }
 
@@ -320,6 +325,7 @@ func (d *Disk) replaySegment(seg uint64, last bool, expect *uint64) error {
 			if last && isTorn(err) {
 				d.opts.Logf("storage: truncating torn WAL tail in %s at offset %d (%v)",
 					filepath.Base(path), off, err)
+				d.sinceRoot += int64(off)
 				return truncateDurably(path, int64(off))
 			}
 			if isTorn(err) {
@@ -339,6 +345,7 @@ func (d *Disk) replaySegment(seg uint64, last bool, expect *uint64) error {
 		d.recTail = append(d.recTail, rec)
 		off += n
 	}
+	d.sinceRoot += int64(off)
 	return nil
 }
 
@@ -488,6 +495,8 @@ func (d *Disk) Append(rec Record) error {
 		return fmt.Errorf("storage: append WAL frame: %w", err)
 	}
 	d.curSize += int64(8 + len(payload))
+	d.sinceRoot += int64(8 + len(payload))
+	d.opts.Metrics.setWALSinceRoot(d.sinceRoot)
 	d.dirty = true
 	d.nextOrd++
 	switch d.opts.Fsync {
@@ -508,6 +517,13 @@ func (d *Disk) Append(rec Record) error {
 	return nil
 }
 
+// RootDue implements Backend: a root is due once appends have rolled the
+// log past the segment the current root starts at. Saving one then lets
+// TruncateBefore reclaim at least that full segment, so SegmentBytes sets
+// the cadence. A fresh store (no root, nothing rolled) is not due either:
+// its whole history is still one segment of log.
+func (d *Disk) RootDue() bool { return d.curSeg > d.segBase }
+
 // SaveSnapshot implements Backend. The segment is rolled first so the
 // snapshot's replay range starts at a segment boundary; the snapshot file
 // then lands via temp-write → fsync → rename → dir fsync, making it
@@ -525,9 +541,12 @@ func (d *Disk) SaveSnapshot(snap Snapshot) error {
 	}
 	segBase := d.curSeg
 
-	d.enc.Reset()
-	encodeSnapshotBody(&d.enc, snap, segBase, d.nextOrd)
-	body := d.enc.Bytes()
+	// The body gets its own buffer, dropped on return: encoding it into the
+	// WAL encoder would grow that to snapshot size and keep it live
+	// between roots.
+	var enc wire.Encoder
+	encodeSnapshotBody(&enc, snap, segBase, d.nextOrd)
+	body := enc.Bytes()
 	d.opts.Metrics.observeSnapshotBytes(len(body))
 	var hdr [16]byte
 	copy(hdr[:8], snapMagic[:])
@@ -561,6 +580,8 @@ func (d *Disk) SaveSnapshot(snap Snapshot) error {
 		return err
 	}
 	d.segBase = segBase
+	d.sinceRoot = 0
+	d.opts.Metrics.setWALSinceRoot(0)
 	d.snapBases[snap.Seq] = segBase
 	d.pruneSnapshots()
 	return nil

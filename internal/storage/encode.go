@@ -21,6 +21,8 @@ func encodeRecord(e *wire.Encoder, rec Record) error {
 		wire.PutBlock(e, rec.Block)
 	case KindStage:
 		e.ByteSlice(rec.Stage)
+	case KindCheckpoint:
+		e.Uvarint(rec.Seq)
 	default:
 		return fmt.Errorf("storage: append of unknown record kind %d", rec.Kind)
 	}
@@ -37,6 +39,8 @@ func decodeRecord(data []byte) (Record, error) {
 		rec.Block = wire.Block(d)
 	case KindStage:
 		rec.Stage = d.ByteSlice()
+	case KindCheckpoint:
+		rec.Seq = d.Uvarint()
 	default:
 		return Record{}, fmt.Errorf("%w: unknown WAL record kind %d", ErrCorrupt, rec.Kind)
 	}

@@ -35,6 +35,10 @@ func (m *Memory) Append(rec Record) error {
 	return nil
 }
 
+// RootDue implements Backend: always true, so every stable checkpoint
+// saves a root and the tail between roots stays one checkpoint long.
+func (m *Memory) RootDue() bool { return true }
+
 // SaveSnapshot implements Backend.
 func (m *Memory) SaveSnapshot(snap Snapshot) error {
 	if m.closed {

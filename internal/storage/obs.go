@@ -19,6 +19,9 @@ type Metrics struct {
 	segmentRolls  *obs.Counter
 	snapshotSave  *obs.Histogram
 	snapshotBytes *obs.Histogram
+	// walSinceRoot is the WAL a restart would replay on top of the newest
+	// snapshot: the bound on recovery's replay length.
+	walSinceRoot *obs.Gauge
 }
 
 // NewMetrics registers the storage metric family on reg.
@@ -31,7 +34,15 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		segmentRolls:  reg.Counter("storage_wal_segment_rolls_total"),
 		snapshotSave:  reg.Histogram("storage_snapshot_save_latency"),
 		snapshotBytes: reg.SizeHistogram("storage_snapshot_bytes"),
+		walSinceRoot:  reg.Gauge("storage_wal_bytes_since_root"),
 	}
+}
+
+func (m *Metrics) setWALSinceRoot(n int64) {
+	if m == nil {
+		return
+	}
+	m.walSinceRoot.Set(n)
 }
 
 func (m *Metrics) observeAppend(ns int64) {

@@ -4,15 +4,23 @@
 // one built on a length-prefixed, CRC-checksummed, fsync-on-commit
 // write-ahead log plus periodic state snapshot files.
 //
-// The protocol layers write through the interface at three points:
+// The protocol layers write through the interface at four points:
 //
 //   - a pbft replica appends every decided batch before executing it;
 //   - the transaction manager appends opaque 2PC stage-transition records
 //     (write-ahead of acting on them);
-//   - at every stable checkpoint the replica saves a Snapshot — world
-//     state, execution dedup set, checkpoint certificate, and the
-//     manager's live stage state — after which the WAL prefix it covers
-//     is truncated.
+//   - a pbft replica appends a small checkpoint record at every stable
+//     checkpoint, so recovery resumes the consensus watermark where the
+//     tail left it rather than at the root, which may be far older;
+//   - at a stable checkpoint for which the backend reports a root is due
+//     (RootDue), the replica saves a Snapshot — world state, execution
+//     dedup set, checkpoint certificate, and the manager's live stage
+//     state — after which the WAL prefix it covers is truncated. The
+//     stable checkpoint itself is frequent, cheap consensus bookkeeping;
+//     the durable root is a full copy of state, so the backend paces it by
+//     how much log it would reclaim (the disk engine: once per WAL
+//     segment). A replica that installs a peer's state saves a root
+//     unconditionally, since the WAL does not hold that state.
 //
 // Recovery is the inverse: load the newest snapshot that passes its CRC
 // (falling back to the previous one on corruption), then replay the WAL
@@ -39,12 +47,17 @@ const (
 	// KindStage is an opaque 2PC stage-transition record owned by the
 	// transaction layer; the backend never interprets its payload.
 	KindStage Kind = 2
+	// KindCheckpoint marks a stable checkpoint, so recovery restores the
+	// consensus watermark the tail reached, not the older one its root
+	// recorded.
+	KindCheckpoint Kind = 3
 )
 
 // Record is one WAL entry.
 type Record struct {
 	Kind Kind
-	// Seq is the consensus sequence number (KindBlock only).
+	// Seq is the consensus sequence number (KindBlock) or the stable
+	// checkpoint (KindCheckpoint).
 	Seq uint64
 	// Block is the decided batch (KindBlock only).
 	Block *chain.Block
@@ -53,9 +66,9 @@ type Record struct {
 }
 
 // Snapshot is the recovery root a replica persists at a stable
-// checkpoint. State and the id sets are interpreted by the replica; Cert
-// and Stage are opaque owner-encoded blobs (the checkpoint certificate
-// and the transaction manager's live stage state).
+// checkpoint when one is due. State and the id sets are interpreted by
+// the replica; Cert and Stage are opaque owner-encoded blobs (the
+// checkpoint certificate and the transaction manager's live stage state).
 type Snapshot struct {
 	// Seq is the stable checkpoint sequence number Cert covers.
 	Seq uint64
@@ -113,6 +126,13 @@ type Backend interface {
 	// commit policy is fsync-on-commit the record has reached stable
 	// storage when Append returns.
 	Append(rec Record) error
+
+	// RootDue reports whether a new recovery root is worth saving at the
+	// next stable checkpoint: true once enough WAL has accumulated since the
+	// current root that saving one would let TruncateBefore reclaim some.
+	// Checkpoints in between save nothing; recovery replays the longer
+	// tail instead.
+	RootDue() bool
 
 	// SaveSnapshot durably replaces the recovery root. After it returns,
 	// Recover will prefer this snapshot, and WAL records appended before

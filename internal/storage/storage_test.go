@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/blockcrypto"
 	"repro/internal/chain"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -89,7 +90,7 @@ func wantSnapshot(t *testing.T, got *Snapshot, want Snapshot) {
 // snapshot. reopen rebuilds the backend between write and read phases
 // (nil for engines without cross-instance persistence).
 func contract(t *testing.T, open func(t *testing.T) Backend, reopen func(t *testing.T) Backend) {
-	recs := testRecords(7)
+	recs := append(testRecords(7), Record{Kind: KindCheckpoint, Seq: 6})
 	snap := testSnapshot(4)
 
 	b := open(t)
@@ -383,6 +384,107 @@ func TestDiskMidLogCorruption(t *testing.T) {
 	if _, err := OpenDisk(dir, DiskOptions{SegmentBytes: 200, Logf: t.Logf}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open with mid-log damage: %v, want ErrCorrupt", err)
 	}
+}
+
+// TestDiskRootDuePacedBySegments drives a disk store the way a replica
+// does — a few records per stable checkpoint, a root only when RootDue —
+// and checks that a root is due exactly when the log has rolled past the
+// current root's segment, never right after a root, so roots land once per
+// roll; that the log stays within Keep+1 segments plus the current one;
+// and that storage_wal_bytes_since_root tracks the bytes recovery would
+// replay, across a reopen too.
+func TestDiskRootDuePacedBySegments(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	opts := DiskOptions{SegmentBytes: 1024, Fsync: FsyncOff, Metrics: NewMetrics(reg)}
+	d, err := OpenDisk(dir, opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	sinceRoot := reg.Gauge("storage_wal_bytes_since_root")
+	if d.RootDue() {
+		t.Fatal("a fresh store reports a root due before any roll")
+	}
+	var seq uint64
+	roots, rolled := 0, false
+	for cp := 0; cp < 40; cp++ {
+		for i := 0; i < 3; i++ {
+			seq++
+			seg := d.curSeg
+			if err := d.Append(Record{Kind: KindBlock, Seq: seq, Block: testBlock(seq)}); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+			rolled = rolled || d.curSeg != seg
+		}
+		if d.RootDue() != rolled {
+			t.Fatalf("checkpoint %d: RootDue = %v, but rolled past the root's segment = %v", cp, d.RootDue(), rolled)
+		}
+		if d.RootDue() {
+			if err := d.SaveSnapshot(testSnapshot(seq)); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			if err := d.TruncateBefore(seq); err != nil {
+				t.Fatalf("truncate: %v", err)
+			}
+			roots++
+			rolled = false
+			if d.RootDue() || sinceRoot.Load() != 0 {
+				t.Fatalf("right after a root: RootDue = %v, bytes since root = %d", d.RootDue(), sinceRoot.Load())
+			}
+		}
+		segs, err := listNumbered(d.walDir, walSuffix, 10)
+		if err != nil || len(segs) > d.opts.Keep+2 {
+			t.Fatalf("checkpoint %d: %d WAL segments (err %v), want at most Keep+1 plus the current one", cp, len(segs), err)
+		}
+		if got, want := sinceRoot.Load(), walBytesFrom(t, d, d.segBase); got != want {
+			t.Fatalf("checkpoint %d: storage_wal_bytes_since_root = %d, want the %d bytes from the root's segment on", cp, got, want)
+		}
+	}
+	// Three records fit in a segment, so each root follows exactly one
+	// size roll and rolls once itself; one size roll may be pending.
+	pending := 0
+	if d.RootDue() {
+		pending = 1
+	}
+	if rolls := reg.Counter("storage_wal_segment_rolls_total").Load(); roots < 3 || roots >= 40 ||
+		rolls != uint64(2*roots+pending) {
+		t.Fatalf("%d roots over 40 checkpoints and %d rolls, want one root per size roll", roots, rolls)
+	}
+
+	before := sinceRoot.Load()
+	if err := d.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	reg2 := obs.NewRegistry()
+	d, err = OpenDisk(dir, DiskOptions{SegmentBytes: 1024, Metrics: NewMetrics(reg2)})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer d.Close()
+	if got := reg2.Gauge("storage_wal_bytes_since_root").Load(); got != before {
+		t.Fatalf("after reopen storage_wal_bytes_since_root = %d, want %d", got, before)
+	}
+}
+
+// walBytesFrom sums the sizes of d's WAL segments numbered seg and up.
+func walBytesFrom(t *testing.T, d *Disk, seg uint64) int64 {
+	t.Helper()
+	segs, err := listNumbered(d.walDir, walSuffix, 10)
+	if err != nil {
+		t.Fatalf("list segments: %v", err)
+	}
+	var n int64
+	for _, s := range segs {
+		if s < seg {
+			continue
+		}
+		st, err := os.Stat(d.segPath(s))
+		if err != nil {
+			t.Fatalf("stat segment: %v", err)
+		}
+		n += st.Size()
+	}
+	return n
 }
 
 // TestSnapshotStateViewSavesStateBytes pins the streamed save path: a

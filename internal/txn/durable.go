@@ -23,10 +23,12 @@ import (
 //	stageInjected — a protocol step handed to consensus (with its body,
 //	                so an undecided step can be resubmitted after restart)
 //
-// At every stable checkpoint the replica asks the manager (via
-// SetDurableExtra) for a stage blob summarizing the same facts for all
-// still-unfinished transactions; the blob rides in the durable snapshot,
-// which is what lets the WAL prefix be truncated.
+// Whenever the replica saves a durable snapshot (at a stable checkpoint
+// once the backend reports a root due, or after installing a peer's
+// state) it asks the manager (via SetDurableExtra) for a stage blob
+// summarizing the same facts for all still-unfinished transactions; the
+// blob rides in the snapshot, which is what lets the WAL prefix be
+// truncated.
 //
 // Reference-side managers journal nothing: the coordinator state machine
 // lives entirely in the replicated store, so recovery is a store scan

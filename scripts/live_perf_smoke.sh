@@ -17,7 +17,8 @@
 # LIVE_PERF_OBS_DIR as a CI artifact, and fails if no replica reports a
 # nonzero pbft_pipeline_occupancy_peak — a load run that never overlapped
 # consensus instances means the pipeline (or its instrumentation) is
-# broken.
+# broken — or if any replica's storage_wal_bytes_since_root (the WAL a
+# restart would replay) is missing or two segments or more.
 #
 # Run from the repository root.
 set -euo pipefail
@@ -140,11 +141,23 @@ for id in 0 1 2 3 4 5 6 7 8 9 10 11; do
   if [ -n "$peak" ] && [ "$peak" -gt 0 ] 2>/dev/null; then
     occupancy_seen=1
   fi
+  # The WAL a restart would replay: a durable root is saved at the first
+  # stable checkpoint after the log rolls past the current root's segment,
+  # so it stays under two default (4 MiB) segments.
+  since="$(awk '$1 == "storage_wal_bytes_since_root" {print $2}' "$OBS_DIR/node$id.metrics.txt")"
+  if [ -z "$since" ] || [ "$since" -ge $((8 << 20)) ]; then
+    echo "FAIL: node $id storage_wal_bytes_since_root = '${since}', want a value below two WAL segments" >&2
+    exit 1
+  fi
 done
 curl -fsS "http://127.0.0.1:7240/snapshot" >"$OBS_DIR/node0.snapshot.json"
 curl -fsS "http://127.0.0.1:7240/trace" >"$OBS_DIR/node0.trace.json"
 curl -fsS "http://127.0.0.1:7240/debug/pprof/profile?seconds=1" >"$OBS_DIR/node0.cpu.pprof"
 "$BIN/ahlctl" scrape -topo "$TOPO" | tee "$OBS_DIR/scrape.txt"
+if ! grep -q '^  storage_wal_bytes_since_root' "$OBS_DIR/scrape.txt"; then
+  echo "FAIL: ahlctl scrape did not report storage_wal_bytes_since_root" >&2
+  exit 1
+fi
 if [ "$occupancy_seen" -ne 1 ]; then
   echo "FAIL: no replica reported pbft_pipeline_occupancy_peak > 0 under load" >&2
   exit 1

@@ -4,7 +4,8 @@
 # shard replica mid-load, restart it, and assert that
 #   (a) the load run completes despite the crash (f=1 tolerated),
 #   (b) the restarted process recovers from its snapshot+WAL (greppable
-#       "recovered snapshot" marker) and rejoins (executed counter moves),
+#       "recovered snapshot" marker) and rejoins (its
+#       pbft_executed_txs_total counter moves),
 #   (c) a second load run over the recovered cluster completes cleanly.
 # The exact per-replica balance-conservation check lives in the in-process
 # equivalent, TestLiveClusterReplicaRestartRecovery (internal/core), which
@@ -86,12 +87,14 @@ if ! grep -q "recovered snapshot" "$BIN/node$VICTIM-restarted.log"; then
   exit 1
 fi
 
-# Rejoin: the restarted replica's executed counter must advance past its
-# boot-replay value (statesync + new traffic), visible in -status lines.
+# Rejoin: the restarted replica must execute new blocks (statesync + new
+# traffic). Boot replay does not count toward pbft_executed_txs_total, and
+# the -status line prints only nonzero counters, so any value means it
+# rejoined.
 rejoined=""
 execd=""
 for _ in $(seq 1 30); do
-  execd="$(sed -n 's/.*executed=\([0-9]*\).*/\1/p' "$BIN/node$VICTIM-restarted.log" | tail -1)"
+  execd="$(sed -n 's/.*pbft_executed_txs_total=\([0-9]*\).*/\1/p' "$BIN/node$VICTIM-restarted.log" | tail -1)"
   if [ -n "$execd" ] && [ "$execd" -gt 0 ]; then rejoined=yes; break; fi
   sleep 1
 done
@@ -100,7 +103,7 @@ if [ -z "$rejoined" ]; then
   cat "$BIN/node$VICTIM-restarted.log" >&2
   exit 1
 fi
-echo "   node $VICTIM rejoined (executed=$execd)"
+echo "   node $VICTIM rejoined (pbft_executed_txs_total=$execd)"
 
 echo "== second load run over the recovered cluster"
 if ! "$BIN/ahlctl" load -topo "$TOPO" -accounts 32 -txs 200 -cross 0.5 -seed 2 \
