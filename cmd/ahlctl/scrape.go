@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -99,6 +100,7 @@ func runScrape(args []string) {
 
 	printLatencyTable(merged)
 	printCountersOfInterest(merged, cfg)
+	printTransportBatching(merged)
 	if maxReplay >= 0 {
 		fmt.Printf("recovery replay bound (largest journaling node)\n")
 		fmt.Printf("  %-40s %d B (node %d)\n\n", walSinceRootGauge, maxReplay, maxReplayNode)
@@ -190,6 +192,22 @@ func printCountersOfInterest(s obs.Snapshot, cfg *core.ClusterConfig) {
 		fmt.Printf("  per-node endpoints: %s\n", strings.Join(addrs, " "))
 	}
 	fmt.Println()
+}
+
+// printTransportBatching reports how many frames each transport syscall
+// carried, cluster-wide: the writer sends a queued burst with one
+// vectored write, and the reader buffers as many frames as one read
+// returns.
+func printTransportBatching(s obs.Snapshot) {
+	fmt.Printf("transport batching (cluster-wide)\n")
+	per := func(frames, calls string) string {
+		if s.Counters[calls] == 0 {
+			return "n/a (no " + calls + ")"
+		}
+		return strconv.FormatFloat(float64(s.Counters[frames])/float64(s.Counters[calls]), 'f', 2, 64)
+	}
+	fmt.Printf("  %-40s %s\n", "frames per write call", per("transport_sent_frames_total", "transport_write_calls_total"))
+	fmt.Printf("  %-40s %s\n\n", "frames per read call", per("transport_recv_frames_total", "transport_read_calls_total"))
 }
 
 // walSinceRootGauge is the WAL a restarted node would replay on top of

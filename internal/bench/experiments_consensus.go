@@ -68,7 +68,8 @@ func init() {
 					t.Add(row...)
 				}
 				t.Notes = append(t.Notes,
-					"paper: PBFT (HL) outperforms the lockstep protocols at scale; Tendermint wins only at N=1 (HL REST cap)")
+					"paper: PBFT (HL) outperforms the lockstep protocols at scale; Tendermint beats HL only at N=1 (HL REST cap)",
+					"Raft, crash-fault only and unsigned, leads at N=1 and beats Tendermint at N=7")
 			})
 			return t
 		},

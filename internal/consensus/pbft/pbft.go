@@ -111,7 +111,7 @@ type Options struct {
 	RequestVerify time.Duration
 	// IntakeCap caps accepted client requests per second (0 = unlimited).
 	// Hyperledger v0.6's REST layer caps at roughly 400/s, which is why
-	// Tendermint wins Figure 2 at N = 1.
+	// HL trails Tendermint (and Raft) in Figure 2 at N = 1.
 	IntakeCap float64
 	// SendReplies makes replicas send a Reply to tx.Client after
 	// executing each transaction (closed-loop clients need this; open-

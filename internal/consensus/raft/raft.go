@@ -100,7 +100,6 @@ func New(opts Options, ep *simnet.Endpoint, registry *chaincode.Registry) *Repli
 		registry:    registry,
 		store:       chain.NewStore(),
 		ledger:      chain.NewLedger(),
-		acks:        make(map[int]bool),
 		blocks:      make(map[uint64]*chain.Block),
 		pending:     make(map[uint64]chain.Tx),
 		executedIDs: make(map[uint64]bool),
@@ -221,6 +220,7 @@ func (r *Replica) maybePropose() {
 	r.nextIndex++
 	r.acks = map[int]bool{0: true}
 	r.broadcast(msgAppend, &appendMsg{Index: r.inFlightIx, Block: block}, block.SizeBytes()+64)
+	r.maybeCommit()
 }
 
 func (r *Replica) handleAppend(m *appendMsg) {
@@ -233,17 +233,28 @@ func (r *Replica) handleAppend(m *appendMsg) {
 }
 
 func (r *Replica) handleAck(m *ackMsg) {
-	if r.inFlight == nil || m.Index != r.inFlightIx {
+	if r.acks == nil || m.Index != r.inFlightIx {
 		return
 	}
 	r.acks[m.Replica] = true
+	r.maybeCommit()
+}
+
+// maybeCommit commits the in-flight block once its acks reach the quorum.
+// The leader's own ack counts, so a committee of one commits at propose
+// time. The block stays in flight until it has executed: its
+// transactions leave pending only then, and the next proposal must not
+// carry them again.
+func (r *Replica) maybeCommit() {
 	if len(r.acks) < r.opts.Committee.Quorum {
 		return
 	}
-	block := r.inFlight
-	r.inFlight = nil
-	r.broadcast(msgCommit, &commitMsg{Index: m.Index}, 64)
-	r.execute(block, func() { r.maybePropose() })
+	r.acks = nil // committed; later acks for it are stale
+	r.broadcast(msgCommit, &commitMsg{Index: r.inFlightIx}, 64)
+	r.execute(r.inFlight, func() {
+		r.inFlight = nil
+		r.maybePropose()
+	})
 }
 
 func (r *Replica) handleCommit(m *commitMsg) {
@@ -252,12 +263,7 @@ func (r *Replica) handleCommit(m *commitMsg) {
 		return
 	}
 	delete(r.blocks, m.Index)
-	r.execute(block, func() {
-		// Execute any buffered successors that committed while busy.
-		if next, ok := r.blocks[r.committedTo]; ok && next != nil {
-			_ = next // committed only via explicit commit messages
-		}
-	})
+	r.execute(block, func() {})
 }
 
 func (r *Replica) execute(block *chain.Block, done func()) {

@@ -122,3 +122,31 @@ func TestRaftMajorityCrashStallsProgress(t *testing.T) {
 		t.Fatal("leader committed without a majority")
 	}
 }
+
+// TestRaftSingleNodeCommits covers the committee of one: the leader's own
+// ack is the whole quorum, so each block commits when it is proposed. A
+// committed block stays in flight until it executes, so no transaction is
+// proposed in two blocks.
+func TestRaftSingleNodeCommits(t *testing.T) {
+	engine, _, reps := buildNet(1, func(o *Options) { o.BatchSize = 4 })
+	engine.Schedule(0, func() {
+		for i := 0; i < 10; i++ {
+			reps[0].SubmitLocal(chain.Tx{ID: uint64(i + 1), Chaincode: "kvstore", Fn: "put",
+				Args: []string{fmt.Sprintf("k%d", i), "v"}})
+		}
+	})
+	engine.Run(sim.Time(5 * time.Second))
+	if got := reps[0].Executed(); got != 10 {
+		t.Fatalf("single-node leader executed %d, want 10", got)
+	}
+	if err := reps[0].Ledger().VerifyChain(); err != nil {
+		t.Fatal(err)
+	}
+	ordered := 0
+	for h := uint64(0); h < reps[0].Ledger().Height(); h++ {
+		ordered += len(reps[0].Ledger().Block(h).Txs)
+	}
+	if ordered != 10 {
+		t.Fatalf("the ledger orders %d transactions for 10 submitted: a block re-proposed executing ones", ordered)
+	}
+}

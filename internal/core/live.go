@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
 	"math/rand"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,14 +72,18 @@ type liveLoop struct {
 	// Set before the handler is registered; never written afterwards.
 	intercept func(simnet.Message) bool
 
+	// labels name the node and its role in CPU profiles.
+	labels pprof.LabelSet
+
 	stopOnce  sync.Once
 	droppedIn atomic.Uint64
 }
 
-func newLiveLoop(engine *sim.Engine, net *simnet.Network) *liveLoop {
+func newLiveLoop(engine *sim.Engine, net *simnet.Network, labels pprof.LabelSet) *liveLoop {
 	return &liveLoop{
 		engine: engine,
 		net:    net,
+		labels: labels,
 		inbox:  make(chan simnet.Message, liveInboxLen),
 		ops:    make(chan func(), 64),
 		stop:   make(chan struct{}),
@@ -129,7 +136,24 @@ func (l *liveLoop) Stop() {
 	<-l.done
 }
 
-func (l *liveLoop) start() { go l.run() }
+// start runs the loop on its own goroutine, labelled for the CPU
+// profiler with the node id and role.
+func (l *liveLoop) start() {
+	go pprof.Do(context.Background(), l.labels, func(context.Context) { l.run() })
+}
+
+// profileLabels are a live node's CPU-profile labels: its id and its role
+// ("shard <n>", "ref" or "client").
+func profileLabels(id simnet.NodeID, place Place) pprof.LabelSet {
+	role := "client"
+	switch place.Role {
+	case RoleShardReplica:
+		role = "shard " + strconv.Itoa(place.Shard)
+	case RoleRefReplica:
+		role = "ref"
+	}
+	return pprof.Labels("node", strconv.Itoa(int(id)), "role", role)
+}
 
 func (l *liveLoop) run() {
 	defer close(l.done)
@@ -208,10 +232,10 @@ func teeSeedFor(seed int64, id simnet.NodeID) int64 {
 // loop's inbound handler on tr once the stack is fully assembled (a
 // replica's pre-verifier must be installed on the loop first, or the
 // first frames would race its installation).
-func buildLiveStack(c *ClusterConfig, id simnet.NodeID, tr transport.Transport) (*sim.Engine, *simnet.Network, *liveLoop) {
+func buildLiveStack(c *ClusterConfig, id simnet.NodeID, place Place, tr transport.Transport) (*sim.Engine, *simnet.Network, *liveLoop) {
 	engine := sim.NewEngine(teeSeedFor(c.Seed, id) + 1)
 	net := simnet.New(engine, simnet.LAN())
-	loop := newLiveLoop(engine, net)
+	loop := newLiveLoop(engine, net, profileLabels(id, place))
 	net.SetGateway(func(m simnet.Message) { tr.Send(m) })
 	return engine, net, loop
 }
@@ -330,7 +354,7 @@ func StartLiveNode(c *ClusterConfig, id simnet.NodeID, tr transport.Transport) (
 	if err != nil {
 		return nil, err
 	}
-	_, net, loop := buildLiveStack(c, id, tr)
+	_, net, loop := buildLiveStack(c, id, place, tr)
 	hub.Reg.CounterFunc("node_inbox_dropped_total", loop.droppedIn.Load)
 
 	// Deployment-wide key material: the committee this replica verifies
@@ -494,7 +518,7 @@ func StartLiveClient(c *ClusterConfig, id simnet.NodeID, tr transport.Transport)
 		return nil, fmt.Errorf("live: node %d is a %s, not a client", id, place.Role)
 	}
 	topo := c.Topology()
-	_, net, loop := buildLiveStack(c, id, tr)
+	_, net, loop := buildLiveStack(c, id, place, tr)
 	tr.RegisterHandler(id, loop.handler())
 	lc := &LiveClient{
 		ID:     id,

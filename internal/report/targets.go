@@ -47,7 +47,7 @@ var targets = map[string]Target{
 		Artifact: "Figure 2 (§2)",
 		Metric: &Metric{Name: "peak HL throughput (N sweep)", Col: "HL",
 			Where: []Cond{{Col: "sweep", Equals: "N"}}, Agg: "max", Unit: "tps"},
-		PaperNote: "PBFT (HL) outperforms the lockstep protocols at scale; Tendermint wins only at N=1, where HL's REST cap binds",
+		PaperNote: "PBFT (HL) outperforms the lockstep protocols at scale; Tendermint beats HL only at N=1, where HL's REST cap binds (crash-fault Raft beats both there)",
 	},
 	"fig8": {
 		Artifact: "Figure 8 (§7)",

@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,6 +21,26 @@ import (
 // full state snapshot, small enough that a corrupt length prefix cannot
 // make a reader allocate unboundedly.
 const maxFrame = 1 << 26
+
+// Syscalls are paid per burst of frames, not per frame. The caps keep
+// every per-connection and per-peer buffer small: a process holds one of
+// each per connection, and a cluster node has a dozen connections.
+const (
+	// readBufSize is each inbound connection's bufio.Reader size.
+	readBufSize = 16 << 10
+	// reuseFrameMax is the largest frame decoded from the connection's
+	// reused receive buffer; larger ones (snapshots, state-sync replies)
+	// get their own allocation, so the reused buffer never grows past it.
+	// Reuse is safe because wire.Decoder copies everything it returns.
+	reuseFrameMax = 64 << 10
+	// burstFrames and burstBytes cap one vectored write: after the
+	// blocking receive of one frame the writer takes whatever else is
+	// already queued, up to either cap, and writes it with one call.
+	burstFrames = 64
+	burstBytes  = 256 << 10
+	// writeTimeout bounds one burst write on a live connection.
+	writeTimeout = 5 * time.Second
+)
 
 // TCPConfig configures a TCP transport.
 type TCPConfig struct {
@@ -88,6 +111,14 @@ type TCPStats struct {
 	// Reconnects counts connections successfully re-established after a
 	// break or dial failure (Redials counts the attempts).
 	Reconnects uint64
+	// WriteCalls counts vectored writes, one per burst of queued frames
+	// (a burst re-sent on a fresh connection counts twice); SentFrames /
+	// WriteCalls is the batching the writer achieved.
+	WriteCalls uint64
+	// ReadCalls counts reads on inbound connections, each filling the
+	// connection's buffer with as many frames as the kernel holds;
+	// RecvFrames / ReadCalls is the batching the reader achieved.
+	ReadCalls uint64
 }
 
 // TCP is the socket-backed Transport: internal/wire frames, length
@@ -116,6 +147,8 @@ type TCP struct {
 	overflows  atomic.Uint64
 	redials    atomic.Uint64
 	reconnects atomic.Uint64
+	writeCalls atomic.Uint64
+	readCalls  atomic.Uint64
 }
 
 type tcpPeer struct {
@@ -133,6 +166,13 @@ type tcpPeer struct {
 	// instead of writing into a kernel buffer the peer will never read.
 	gen  atomic.Uint64
 	dead atomic.Bool
+
+	// burst holds the frames of the write in progress and iov the slice
+	// headers net.Buffers consumes while writing them, so a failed burst
+	// can be re-sent whole (writeLoop only; both cleared after each burst
+	// so sent frames are not kept alive).
+	burst [][]byte
+	iov   [][]byte
 }
 
 // NewTCP starts a TCP transport. If cfg names a listen address (or
@@ -186,6 +226,8 @@ func (t *TCP) Stats() TCPStats {
 		QueueOverflows: t.overflows.Load(),
 		Redials:        t.redials.Load(),
 		Reconnects:     t.reconnects.Load(),
+		WriteCalls:     t.writeCalls.Load(),
+		ReadCalls:      t.readCalls.Load(),
 	}
 }
 
@@ -203,6 +245,8 @@ func (t *TCP) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("transport_queue_overflows_total", t.overflows.Load)
 	reg.CounterFunc("transport_redials_total", t.redials.Load)
 	reg.CounterFunc("transport_reconnects_total", t.reconnects.Load)
+	reg.CounterFunc("transport_write_calls_total", t.writeCalls.Load)
+	reg.CounterFunc("transport_read_calls_total", t.readCalls.Load)
 	t.mu.Lock()
 	t.reg = reg
 	peers := make([]*tcpPeer, 0, len(t.peers))
@@ -288,7 +332,12 @@ func (t *TCP) peer(addr string) (*tcpPeer, bool) {
 	}
 	p := t.peers[addr]
 	if p == nil {
-		p = &tcpPeer{addr: addr, ch: make(chan []byte, t.cfg.QueueLen)}
+		p = &tcpPeer{
+			addr:  addr,
+			ch:    make(chan []byte, t.cfg.QueueLen),
+			burst: make([][]byte, 0, burstFrames),
+			iov:   make([][]byte, 0, burstFrames),
+		}
 		t.peers[addr] = p
 		if t.reg != nil {
 			registerPeerMetrics(t.reg, p)
@@ -299,7 +348,9 @@ func (t *TCP) peer(addr string) (*tcpPeer, bool) {
 	return p, true
 }
 
-// writeLoop owns the outbound connection to one peer address.
+// writeLoop owns the outbound connection to one peer address. Each
+// wake-up writes one burst: the frame it blocked for plus whatever else
+// is already queued.
 func (t *TCP) writeLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	var conn net.Conn
@@ -308,22 +359,57 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 			conn.Close()
 		}
 	}()
-	for {
-		var frame []byte
-		select {
-		case <-t.closed:
-			t.flush(p, conn)
-			return
-		case frame = <-p.ch:
+	pprof.Do(context.Background(), t.labels("write"), func(context.Context) {
+		for {
+			select {
+			case <-t.closed:
+				conn = t.flush(p, conn)
+				return
+			case frame := <-p.ch:
+				p.burst = append(p.burst, frame)
+			}
+			p.fillBurst()
+			conn = t.writeBurst(p, conn, time.Now().Add(writeTimeout))
 		}
-		conn = t.writeFrame(p, conn, frame)
+	})
+}
+
+// labels are the profiler labels of the transport's goroutines: the
+// direction and the local listen address, which tells apart the nodes
+// of an in-process cluster.
+func (t *TCP) labels(dir string) pprof.LabelSet {
+	return pprof.Labels("transport", dir, "local", t.Addr())
+}
+
+// fillBurst appends to p.burst, without blocking, whatever frames are
+// already queued, until the queue is empty or the burst reaches
+// burstFrames or burstBytes.
+func (p *tcpPeer) fillBurst() {
+	size := 0
+	for _, f := range p.burst {
+		size += len(f)
+	}
+	for len(p.burst) < burstFrames && size < burstBytes {
+		select {
+		case f := <-p.ch:
+			p.burst = append(p.burst, f)
+			size += len(f)
+		default:
+			return
+		}
 	}
 }
 
-// writeFrame writes one frame, dialing if necessary. It returns the live
-// connection (nil after a failure; the frame is then dropped — AHL's
-// retransmission layers own reliability).
-func (t *TCP) writeFrame(p *tcpPeer, conn net.Conn, frame []byte) net.Conn {
+// writeBurst writes p.burst with one vectored write and one deadline,
+// dialing if necessary, then empties it. It returns the live connection
+// (nil after a failure; the burst is then dropped — AHL's retransmission
+// layers own reliability). Every frame of the burst is counted once:
+// sent if the whole burst went out, dropped otherwise.
+func (t *TCP) writeBurst(p *tcpPeer, conn net.Conn, deadline time.Time) net.Conn {
+	defer func() {
+		clear(p.burst)
+		p.burst = p.burst[:0]
+	}()
 	if conn != nil && p.dead.Load() {
 		// The EOF watchdog saw the peer close this connection (its
 		// process exited or restarted). Writing would only fill a kernel
@@ -334,7 +420,7 @@ func (t *TCP) writeFrame(p *tcpPeer, conn net.Conn, frame []byte) net.Conn {
 	if conn == nil {
 		conn = t.dial(p.addr)
 		if conn == nil {
-			t.dropped.Add(1)
+			t.dropped.Add(uint64(len(p.burst)))
 			return nil
 		}
 		if p.hadConn {
@@ -343,33 +429,48 @@ func (t *TCP) writeFrame(p *tcpPeer, conn net.Conn, frame []byte) net.Conn {
 		p.hadConn = true
 		t.watchConn(p, conn)
 	}
-	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Write(frame); err != nil {
-		conn.Close()
-		// One immediate fresh dial before shedding the frame: a write
-		// failure on an established connection usually means the peer
-		// process restarted (its old socket is dead but its listener is
-		// back), e.g. consecutive ahlctl invocations reusing one client
-		// id. A single non-backoff dial re-delivers the frame in that
-		// case; a peer that is genuinely gone sheds the frame as before.
-		if c2 := t.dialOnce(p.addr); c2 != nil {
-			t.reconnects.Add(1)
-			t.watchConn(p, c2)
-			c2.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			if _, err2 := c2.Write(frame); err2 == nil {
-				t.sentFrames.Add(1)
-				t.sentBytes.Add(uint64(len(frame)))
-				return c2
-			}
-			c2.Close()
-		}
-		t.logf("transport: write %s: %v", p.addr, err)
-		t.dropped.Add(1)
-		return nil
+	err := t.writev(p, conn, deadline)
+	if err == nil {
+		return conn
 	}
-	t.sentFrames.Add(1)
-	t.sentBytes.Add(uint64(len(frame)))
-	return conn
+	conn.Close()
+	// One immediate fresh dial before shedding the burst: a write failure
+	// on an established connection usually means the peer process
+	// restarted (its old socket is dead but its listener is back), e.g.
+	// consecutive ahlctl invocations reusing one client id. A single
+	// non-backoff dial re-delivers the whole burst in that case (frames
+	// the old connection already carried arrive twice, which every
+	// protocol tolerates); a peer that is genuinely gone sheds the burst.
+	if c2 := t.dialOnce(p.addr); c2 != nil {
+		t.reconnects.Add(1)
+		t.watchConn(p, c2)
+		if t.writev(p, c2, deadline) == nil {
+			return c2
+		}
+		c2.Close()
+	}
+	t.logf("transport: write %s: %v", p.addr, err)
+	t.dropped.Add(uint64(len(p.burst)))
+	return nil
+}
+
+// writev writes the whole of p.burst to conn with one net.Buffers write
+// (writev(2) on a TCP connection) and counts it as sent on success.
+// net.Buffers consumes the slice it writes from, so it writes from p.iov,
+// a copy of the headers, and p.burst stays whole for a re-send.
+func (t *TCP) writev(p *tcpPeer, conn net.Conn, deadline time.Time) error {
+	p.iov = append(p.iov[:0], p.burst...)
+	bufs := net.Buffers(p.iov)
+	conn.SetWriteDeadline(deadline)
+	t.writeCalls.Add(1)
+	n, err := bufs.WriteTo(conn)
+	clear(p.iov)
+	if err != nil {
+		return err
+	}
+	t.sentFrames.Add(uint64(len(p.burst)))
+	t.sentBytes.Add(uint64(n))
+	return nil
 }
 
 // watchConn marks conn as p's current connection and starts its EOF
@@ -444,55 +545,47 @@ func (t *TCP) dial(addr string) net.Conn {
 	}
 }
 
-// flush drains whatever is already queued at shutdown, bounded by
-// FlushTimeout; frames that cannot be written in time are dropped.
-func (t *TCP) flush(p *tcpPeer, conn net.Conn) {
+// flush drains whatever is already queued at shutdown through the burst
+// writer, every write bounded by one FlushTimeout deadline; frames that
+// cannot be written by then are dropped. The transport is closed, so a
+// failed or missing connection is not redialed: its bursts are dropped.
+func (t *TCP) flush(p *tcpPeer, conn net.Conn) net.Conn {
 	deadline := time.Now().Add(t.cfg.FlushTimeout)
 	for {
-		select {
-		case frame := <-p.ch:
-			if conn == nil || time.Now().After(deadline) {
-				t.dropped.Add(1)
-				continue
-			}
-			conn.SetWriteDeadline(deadline)
-			if _, err := conn.Write(frame); err != nil {
-				conn.Close()
-				conn = nil
-				t.dropped.Add(1)
-				continue
-			}
-			t.sentFrames.Add(1)
-			t.sentBytes.Add(uint64(len(frame)))
-		default:
-			if conn != nil {
-				conn.Close()
-			}
-			return
+		p.fillBurst()
+		if len(p.burst) == 0 {
+			return conn
 		}
+		conn = t.writeBurst(p, conn, deadline)
 	}
 }
 
 func (t *TCP) acceptLoop() {
 	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		t.mu.Lock()
-		if t.shut {
+	pprof.Do(context.Background(), t.labels("read"), func(context.Context) {
+		for {
+			conn, err := t.ln.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			t.mu.Lock()
+			if t.shut {
+				t.mu.Unlock()
+				conn.Close()
+				return
+			}
+			t.conns[conn] = true
 			t.mu.Unlock()
-			conn.Close()
-			return
+			t.wg.Add(1)
+			go t.readConn(conn) // inherits the read labels
 		}
-		t.conns[conn] = true
-		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.readConn(conn)
-	}
+	})
 }
 
+// readConn decodes frames from one inbound connection until it closes.
+// Reads go through a bufio.Reader, so one read(2) fetches as many frames
+// as the kernel holds, and frames up to reuseFrameMax decode from one
+// receive buffer the connection reuses.
 func (t *TCP) readConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -501,9 +594,11 @@ func (t *TCP) readConn(conn net.Conn) {
 		delete(t.conns, conn)
 		t.mu.Unlock()
 	}()
+	r := bufio.NewReaderSize(countingReader{conn, &t.readCalls}, readBufSize)
 	var lenBuf [4]byte
+	var reuse []byte
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 			return
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
@@ -511,8 +606,16 @@ func (t *TCP) readConn(conn net.Conn) {
 			t.logf("transport: bad frame length %d from %s", n, conn.RemoteAddr())
 			return
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(conn, buf); err != nil {
+		var buf []byte
+		if n <= reuseFrameMax {
+			if cap(reuse) < int(n) {
+				reuse = make([]byte, n)
+			}
+			buf = reuse[:n]
+		} else {
+			buf = make([]byte, n)
+		}
+		if _, err := io.ReadFull(r, buf); err != nil {
 			return
 		}
 		m, err := wire.DecodeMessage(buf)
@@ -534,6 +637,17 @@ func (t *TCP) readConn(conn net.Conn) {
 		}
 		h(m)
 	}
+}
+
+// countingReader counts the reads issued on an inbound connection.
+type countingReader struct {
+	r     io.Reader
+	calls *atomic.Uint64
+}
+
+func (c countingReader) Read(p []byte) (int, error) {
+	c.calls.Add(1)
+	return c.r.Read(p)
 }
 
 // Close implements Transport: stop accepting, close inbound connections,

@@ -17,8 +17,10 @@
 # LIVE_PERF_OBS_DIR as a CI artifact, and fails if no replica reports a
 # nonzero pbft_pipeline_occupancy_peak — a load run that never overlapped
 # consensus instances means the pipeline (or its instrumentation) is
-# broken — or if any replica's storage_wal_bytes_since_root (the WAL a
-# restart would replay) is missing or two segments or more.
+# broken — if any replica's storage_wal_bytes_since_root (the WAL a
+# restart would replay) is missing or two segments or more, or if no
+# replica sent fewer write calls than frames (the transport writes each
+# queued burst with one vectored write, so a loaded node batches).
 #
 # Run from the repository root.
 set -euo pipefail
@@ -127,6 +129,7 @@ echo "== capturing observability artifacts into $OBS_DIR"
 rm -rf "$OBS_DIR"
 mkdir -p "$OBS_DIR"
 occupancy_seen=0
+batching_seen=0
 for id in 0 1 2 3 4 5 6 7 8 9 10 11; do
   case "$id" in
     [0-3]) maddr="127.0.0.1:724$id" ;;
@@ -140,6 +143,11 @@ for id in 0 1 2 3 4 5 6 7 8 9 10 11; do
   peak="$(awk '$1 == "pbft_pipeline_occupancy_peak" {print $2}' "$OBS_DIR/node$id.metrics.txt")"
   if [ -n "$peak" ] && [ "$peak" -gt 0 ] 2>/dev/null; then
     occupancy_seen=1
+  fi
+  writes="$(awk '$1 == "transport_write_calls_total" {print $2}' "$OBS_DIR/node$id.metrics.txt")"
+  frames="$(awk '$1 == "transport_sent_frames_total" {print $2}' "$OBS_DIR/node$id.metrics.txt")"
+  if [ -n "$writes" ] && [ -n "$frames" ] && [ "$writes" -lt "$frames" ] 2>/dev/null; then
+    batching_seen=1
   fi
   # The WAL a restart would replay: a durable root is saved at the first
   # stable checkpoint after the log rolls past the current root's segment,
@@ -156,6 +164,14 @@ curl -fsS "http://127.0.0.1:7240/debug/pprof/profile?seconds=1" >"$OBS_DIR/node0
 "$BIN/ahlctl" scrape -topo "$TOPO" | tee "$OBS_DIR/scrape.txt"
 if ! grep -q '^  storage_wal_bytes_since_root' "$OBS_DIR/scrape.txt"; then
   echo "FAIL: ahlctl scrape did not report storage_wal_bytes_since_root" >&2
+  exit 1
+fi
+if ! grep -q '^  frames per write call' "$OBS_DIR/scrape.txt"; then
+  echo "FAIL: ahlctl scrape did not report frames per write call" >&2
+  exit 1
+fi
+if [ "$batching_seen" -ne 1 ]; then
+  echo "FAIL: no replica sent fewer transport write calls than frames under load" >&2
   exit 1
 fi
 if [ "$occupancy_seen" -ne 1 ]; then
