@@ -122,7 +122,6 @@ func runQuery(args []string) {
 		topoPath = fs.String("topo", "", "cluster topology JSON (required)")
 		id       = fs.Int("id", -1, "client node id (default: first client in the topology)")
 		expect   = fs.Int64("expect", -1, "assert the conserved total equals this value (exit 4 on mismatch)")
-		attempts = fs.Int("attempts", 5, "re-pin retries when a checkpoint overtakes the cut")
 		timeout  = fs.Duration("timeout", time.Minute, "overall query deadline")
 	)
 	fs.Parse(args)
@@ -134,7 +133,10 @@ func runQuery(args []string) {
 	defer tr.Close()
 	defer client.Stop()
 
-	res, err := client.Conservation(*attempts, *timeout)
+	// Attempts re-issue the sweep when a sub-query frame is lost over TCP
+	// or a shard has nothing sealed yet, as in runStatus.
+	const attempts = 3
+	res, err := client.Conservation(attempts, *timeout)
 	if err != nil {
 		log.Fatalf("ahlctl: conservation query: %v", err)
 	}

@@ -27,13 +27,18 @@
 // generation: later Applies clone only the chunks they touch
 // (copy-on-write over a two-level chunked index), so sealing is O(1) and
 // write amplification stays proportional to the write-set, not the state.
-// The window is pruned from below by SetFloor(v) — the PBFT stable
-// checkpoint calls it, so retention spans exactly [stable checkpoint,
-// head] — and capped at a fixed depth for configurations that never
-// checkpoint. ReaderAt below the floor fails with the typed
-// ErrHeightPruned (retryable at a newer pin); a height that is not a
-// sealed boundary fails with ErrHeightUnknown. Protocols that never call
-// Seal pay no copy-on-write overhead at all.
+// The PBFT stable checkpoint calls SetFloor(v), and one rule decides what
+// it keeps: every version at or above v, and a version below v only if
+// ReaderAt returned it since the previous SetFloor. ReaderAt marks the
+// version it returns as read; SetFloor clears the mark on what it keeps.
+// So a reader that reads its pin at least once per checkpoint interval
+// keeps it, and a pin nobody reads any more is gone at the second
+// checkpoint after its last read — no clock, lease or release call. The
+// window is also capped at a fixed depth for configurations that never
+// checkpoint. ReaderAt at a height below the floor that was not kept (or
+// that the cap dropped) fails with the typed ErrHeightPruned; a height
+// that is not a sealed boundary fails with ErrHeightUnknown. Protocols
+// that never call Seal pay no copy-on-write overhead at all.
 //
 // # Consistency guarantee
 //

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/blockcrypto"
 )
@@ -36,9 +37,11 @@ type Store struct {
 
 	// sealed is the MVCC retention window: block-boundary versions in
 	// ascending order, pruned by SetFloor (stable checkpoint) and capped
-	// at maxRetain as a backstop for stores that never checkpoint.
-	sealed    []sealedView
+	// at maxRetain as a backstop for stores that never checkpoint. floor
+	// is the highest height SetFloor was given.
+	sealed    []*sealedView
 	maxRetain int
+	floor     uint64
 
 	// commits indexes distributed-transaction ids by the store version
 	// whose write-set applied their staged values (CommitStaged). The
@@ -55,6 +58,7 @@ type sealedView struct {
 	version uint64
 	digest  blockcrypto.Digest
 	t       *tree
+	read    atomic.Bool // ReaderAt returned it since the last SetFloor
 }
 
 // defaultMaxRetain bounds the sealed-version window when no checkpoint
@@ -67,8 +71,9 @@ const commitCap = 1 << 16
 
 // Typed read-API errors.
 var (
-	// ErrHeightPruned reports a pin below the retention floor: the stable
-	// checkpoint (or the retention cap) advanced past it.
+	// ErrHeightPruned reports a pin below the retention floor that was not
+	// kept: no reader read it across a stable checkpoint (or the retention
+	// cap dropped it).
 	ErrHeightPruned = errors.New("chain: height pruned from the retention window")
 	// ErrHeightUnknown reports a pin that is not a sealed block boundary
 	// (including heights the store has not reached yet).
@@ -309,42 +314,47 @@ func (s *Store) Seal() {
 	if n := len(s.sealed); n > 0 && s.sealed[n-1].version == s.version {
 		return
 	}
-	s.sealed = append(s.sealed, sealedView{version: s.version, digest: s.digest, t: s.t})
+	s.sealed = append(s.sealed, &sealedView{version: s.version, digest: s.digest, t: s.t})
 	s.gen++ // future writes clone what they touch
 	if over := len(s.sealed) - s.maxRetain; over > 0 {
 		s.sealed = append(s.sealed[:0:0], s.sealed[over:]...)
 	}
 }
 
-// SetFloor prunes sealed versions below h — the retention rule hook: the
-// stable checkpoint calls it so the window spans exactly
-// [stable checkpoint, head]. Pinned readers created earlier stay valid
-// (their trees are immutable); only new ReaderAt calls below the floor
-// fail, with ErrHeightPruned.
+// SetFloor applies the retention rule at a stable checkpoint h: it keeps
+// every sealed version at or above h, and a version below h only if
+// ReaderAt returned it since the previous SetFloor. A reader that reads its
+// pin at least once per checkpoint interval therefore keeps it, and a pin
+// nobody reads any more is gone at the second SetFloor after its last read.
+// Readers created earlier stay valid either way (their trees are
+// immutable); ReaderAt at a pruned height fails with ErrHeightPruned.
 func (s *Store) SetFloor(h uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := 0
-	for i < len(s.sealed) && s.sealed[i].version < h {
-		i++
+	kept := s.sealed[:0:0]
+	for _, sv := range s.sealed {
+		if sv.read.Swap(false) || sv.version >= h {
+			kept = append(kept, sv)
+		}
 	}
-	if i > 0 {
-		s.sealed = append(s.sealed[:0:0], s.sealed[i:]...)
-	}
+	s.sealed = kept
+	s.floor = max(s.floor, h)
 }
 
-// ReaderAt returns the immutable view sealed at height h, or a typed
-// error: ErrHeightPruned when h fell out of the retention window,
-// ErrHeightUnknown when h is not a sealed block boundary.
+// ReaderAt returns the immutable view sealed at height h and marks it read
+// for the retention rule (see SetFloor), or a typed error: ErrHeightPruned
+// when h fell out of the retention window, ErrHeightUnknown when h is not
+// a sealed block boundary.
 func (s *Store) ReaderAt(h uint64) (*Reader, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	i := sort.Search(len(s.sealed), func(i int) bool { return s.sealed[i].version >= h })
 	if i < len(s.sealed) && s.sealed[i].version == h {
 		sv := s.sealed[i]
+		sv.read.Store(true)
 		return &Reader{t: sv.t, version: sv.version, digest: sv.digest}, nil
 	}
-	if len(s.sealed) == 0 || h < s.sealed[0].version {
+	if len(s.sealed) == 0 || h < s.sealed[0].version || h < s.floor {
 		return nil, fmt.Errorf("%w: height %d", ErrHeightPruned, h)
 	}
 	return nil, fmt.Errorf("%w: height %d", ErrHeightUnknown, h)
@@ -359,17 +369,6 @@ func (s *Store) LatestSealed() (uint64, bool) {
 		return 0, false
 	}
 	return s.sealed[len(s.sealed)-1].version, true
-}
-
-// OldestRetained reports the retention floor; ok is false before the
-// first Seal.
-func (s *Store) OldestRetained() (uint64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.sealed) == 0 {
-		return 0, false
-	}
-	return s.sealed[0].version, true
 }
 
 // Head freezes and returns the current state as an immutable reader,
@@ -594,7 +593,7 @@ func (s *Store) Restore(sn Snapshot) {
 	s.t = t
 	s.version = sn.Version
 	s.digest = sn.Digest
-	s.sealed = nil
+	s.sealed, s.floor = nil, 0
 	s.commits = make(map[string]uint64)
 	s.commitQ, s.commitHead = nil, 0
 }

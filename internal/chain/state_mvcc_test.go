@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -112,23 +113,28 @@ func TestSealReaderAtAndFloor(t *testing.T) {
 	}
 
 	// Pins taken before the floor advances stay readable; new pins below
-	// the floor fail typed.
+	// the floor fail typed. Every height was read above, so the first
+	// SetFloor keeps them all; the second, with no read between, prunes
+	// the ones below the floor.
 	pinned, err := s.ReaderAt(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetFloor(4)
+	s.SetFloor(4)
 	if v, _ := pinned.Get("k"); string(v) != "2" {
 		t.Fatal("existing pin invalidated by SetFloor")
 	}
-	if _, err := s.ReaderAt(2); !errors.Is(err, ErrHeightPruned) {
-		t.Fatalf("ReaderAt below floor: %v, want ErrHeightPruned", err)
+	for h := uint64(1); h < 4; h++ {
+		if _, err := s.ReaderAt(h); !errors.Is(err, ErrHeightPruned) {
+			t.Fatalf("ReaderAt(%d) below floor: %v, want ErrHeightPruned", h, err)
+		}
+	}
+	if _, err := s.ReaderAt(4); err != nil {
+		t.Fatalf("ReaderAt at the floor: %v", err)
 	}
 	if _, err := s.ReaderAt(99); !errors.Is(err, ErrHeightUnknown) {
 		t.Fatalf("ReaderAt above head: %v, want ErrHeightUnknown", err)
-	}
-	if f, ok := s.OldestRetained(); !ok || f != 4 {
-		t.Fatalf("OldestRetained = %d ok=%v, want 4", f, ok)
 	}
 
 	// Sealing an unchanged version is a no-op.
@@ -146,11 +152,113 @@ func TestRetentionCap(t *testing.T) {
 		s.Apply(WriteSet{{Key: "k" + strconv.Itoa(i%4), Value: []byte{byte(i)}}})
 		s.Seal()
 	}
-	if f, _ := s.OldestRetained(); f != 33 {
-		t.Fatalf("floor after cap = %d, want 33", f)
+	for h := uint64(1); h < 33; h++ {
+		if _, err := s.ReaderAt(h); !errors.Is(err, ErrHeightPruned) {
+			t.Fatalf("capped-out height %d: %v", h, err)
+		}
 	}
-	if _, err := s.ReaderAt(1); !errors.Is(err, ErrHeightPruned) {
-		t.Fatalf("capped-out height: %v", err)
+	if _, err := s.ReaderAt(33); err != nil {
+		t.Fatalf("oldest height inside the cap: %v", err)
+	}
+}
+
+// sealNext applies one write and seals it, returning the new height.
+func sealNext(s *Store, i int) uint64 {
+	s.Apply(WriteSet{{Key: "k" + strconv.Itoa(i%7), Value: []byte(strconv.Itoa(i))}})
+	s.Seal()
+	return s.Version()
+}
+
+// retained reports whether height h is still in the retention window,
+// without reading it (ReaderAt would mark it read).
+func retained(s *Store, h uint64) bool {
+	for _, sv := range s.sealed {
+		if sv.version == h {
+			return true
+		}
+	}
+	return false
+}
+
+func rowsAt(t *testing.T, s *Store, h uint64) string {
+	t.Helper()
+	r, err := s.ReaderAt(h)
+	if err != nil {
+		t.Fatalf("ReaderAt(%d): %v", h, err)
+	}
+	var b strings.Builder
+	for it := r.Iter("", ""); ; {
+		k, v, ok := it.Next()
+		if !ok {
+			return b.String()
+		}
+		fmt.Fprintf(&b, "%s=%s ", k, v)
+	}
+}
+
+// A reader that reads its version between checkpoints keeps it, and reads
+// the same rows every time.
+func TestReadPinSurvivesCheckpoints(t *testing.T) {
+	s := NewStore()
+	var pin uint64
+	for i := 0; i < 5; i++ {
+		pin = sealNext(s, i)
+	}
+	want := rowsAt(t, s, pin)
+	for round := 0; round < 10; round++ {
+		for i := 0; i < 3; i++ {
+			sealNext(s, 5+3*round+i)
+		}
+		s.SetFloor(s.Version())
+		if got := rowsAt(t, s, pin); got != want {
+			t.Fatalf("after checkpoint %d: rows %q, want %q", round+1, got, want)
+		}
+	}
+}
+
+// An unread version below the floor is pruned at once; a pin read once and
+// then abandoned survives the next SetFloor and is gone at the second.
+func TestAbandonedPinPrunedAtSecondFloor(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < 5; i++ {
+		sealNext(s, i)
+	}
+	if _, err := s.ReaderAt(2); err != nil {
+		t.Fatal(err)
+	}
+	s.SetFloor(4)
+	for h := uint64(1); h <= 5; h++ {
+		if retained(s, h) != (h == 2 || h >= 4) {
+			t.Fatalf("height %d retained=%v after SetFloor(4) with only 2 read", h, retained(s, h))
+		}
+	}
+	s.SetFloor(4)
+	if retained(s, 2) {
+		t.Fatal("pin unread across a whole checkpoint interval was kept")
+	}
+	if _, err := s.ReaderAt(2); !errors.Is(err, ErrHeightPruned) {
+		t.Fatalf("abandoned pin: %v, want ErrHeightPruned", err)
+	}
+}
+
+// The window turns sparse when a pin below the floor is kept: the heights
+// between it and the floor are pruned, not unknown.
+func TestPrunedBetweenKeptPinAndFloor(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < 6; i++ {
+		sealNext(s, i)
+	}
+	if _, err := s.ReaderAt(2); err != nil {
+		t.Fatal(err)
+	}
+	s.SetFloor(5)
+	for _, h := range []uint64{1, 3, 4} {
+		if _, err := s.ReaderAt(h); !errors.Is(err, ErrHeightPruned) {
+			t.Fatalf("ReaderAt(%d) beside the kept pin 2 below floor 5: %v, want ErrHeightPruned", h, err)
+		}
+	}
+	if _, err := s.ReaderAt(2); err != nil {
+		t.Fatalf("kept pin: %v", err)
 	}
 }
 
@@ -368,6 +476,10 @@ func TestPinnedReaderStableUnderConcurrentCommits(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
+	// The readers re-pinned between checkpoints, which kept the pin; with
+	// them gone it is pruned at the second checkpoint.
+	s.SetFloor(s.Version() - 5)
+	s.SetFloor(s.Version() - 5)
 	if _, err := s.ReaderAt(uint64(pinned)); !errors.Is(err, ErrHeightPruned) {
 		t.Fatalf("pin after checkpoint advance: %v, want ErrHeightPruned", err)
 	}

@@ -1361,8 +1361,8 @@ func (r *Replica) advanceStable(seq uint64, digest blockcrypto.Digest, ck map[in
 	if r.executedThrough >= seq && r.store.Digest() == digest {
 		// The digest match proves current state ≡ this checkpoint, so the
 		// frozen head IS the checkpoint view. Advancing the retention floor
-		// prunes sealed versions below it; readers pinned earlier stay
-		// valid, new pins below the floor get ErrHeightPruned.
+		// prunes the sealed versions below it that no reader read since
+		// the last checkpoint (chain.Store.SetFloor).
 		r.stableView = r.store.Head()
 		r.store.SetFloor(r.stableView.Version())
 		// The ledger keeps its tail from this checkpoint's block on; the

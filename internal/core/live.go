@@ -618,10 +618,12 @@ func (c *LiveClient) Query(q *query.Query) error {
 // Conservation runs the height-consistent balance sweep (committed
 // checking + savings totals at one pinned cut, plus resolved in-flight
 // 2PC residues) and blocks for the result. timeout is split evenly
-// across attempts: each attempt is a fresh sweep, so retries cover both
-// checkpoint-overtook-the-cut failures and sub-query messages lost over
-// TCP (the query protocol itself sends each page exactly once — the
-// deadline/retry policy lives here, with the caller).
+// across attempts: each attempt is a fresh sweep, so retries cover
+// sub-query frames lost over TCP (the query protocol itself sends each
+// page exactly once — the deadline/retry policy lives here, with the
+// caller) and a shard with nothing sealed yet to pin. A checkpoint does
+// not overtake the cut: the sweep reads its pins between checkpoints,
+// which keeps them retained (chain.Store.SetFloor).
 func (c *LiveClient) Conservation(attempts int, timeout time.Duration) (*query.ConservationResult, error) {
 	type outcome struct {
 		res *query.ConservationResult
@@ -636,7 +638,7 @@ func (c *LiveClient) Conservation(attempts int, timeout time.Duration) (*query.C
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		ok := c.loop.Do(func() {
-			query.Conservation(c.gateway, c.targets, 1, func(res *query.ConservationResult, err error) {
+			query.Conservation(c.gateway, c.targets, func(res *query.ConservationResult, err error) {
 				out <- outcome{res, err}
 			})
 		})
@@ -645,10 +647,10 @@ func (c *LiveClient) Conservation(attempts int, timeout time.Duration) (*query.C
 		}
 		select {
 		case o := <-out:
-			if o.err == nil || (!errors.Is(o.err, chain.ErrHeightPruned) && !errors.Is(o.err, query.ErrNoPin)) {
+			if !errors.Is(o.err, query.ErrNoPin) {
 				return o.res, o.err
 			}
-			lastErr = o.err // retryable: re-pin on the next attempt
+			lastErr = o.err // nothing sealed yet: pin again on the next attempt
 		case <-time.After(timeout / time.Duration(attempts)): //ahl:nondeterministic client-facing deadline on a live query; never used under simulation
 			lastErr = fmt.Errorf("live: client %d: conservation attempt timed out after %v",
 				c.ID, timeout/time.Duration(attempts))

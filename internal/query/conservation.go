@@ -1,8 +1,6 @@
 package query
 
 import (
-	"errors"
-
 	"repro/internal/chain"
 	"repro/internal/chaincode"
 	"repro/internal/simnet"
@@ -26,27 +24,11 @@ type ConservationResult struct {
 
 // Conservation runs the balance-conservation query: three scatter scans
 // sharing one cut (checking sum, savings sum, staged residues) and a
-// resolve round for the residues' owning transactions. On pin loss
-// (checkpoint overtook the cut mid-query) it re-pins and retries up to
-// attempts times. done runs on the gateway's event-loop goroutine.
-func Conservation(g *Gateway, targets []simnet.NodeID, attempts int, done func(*ConservationResult, error)) {
-	if attempts < 1 {
-		attempts = 1
-	}
-	conserve(g, targets, attempts, done)
-}
-
-func conserve(g *Gateway, targets []simnet.NodeID, attempts int, done func(*ConservationResult, error)) {
-	retryable := func(err error) bool {
-		return errors.Is(err, chain.ErrHeightPruned) || errors.Is(err, ErrNoPin)
-	}
-	fail := func(err error) {
-		if attempts > 1 && retryable(err) {
-			conserve(g, targets, attempts-1, done)
-			return
-		}
-		done(nil, err)
-	}
+// resolve round for the residues' owning transactions. Each scan reads the
+// cut again, which is what keeps it retained across checkpoints (see
+// chain.Store.SetFloor). done runs once, with the result or the first
+// error, on the gateway's event-loop goroutine.
+func Conservation(g *Gateway, targets []simnet.NodeID, done func(*ConservationResult, error)) {
 	out := &ConservationResult{}
 
 	sumSpec := func(prefix string) Spec {
@@ -75,7 +57,7 @@ func conserve(g *Gateway, targets []simnet.NodeID, attempts int, done func(*Cons
 			Txids: txids,
 			OnDone: func(res *Result, err error) {
 				if err != nil {
-					fail(err)
+					done(nil, err)
 					return
 				}
 				for _, sd := range out.Residues {
@@ -88,7 +70,7 @@ func conserve(g *Gateway, targets []simnet.NodeID, attempts int, done func(*Cons
 			},
 		})
 		if err != nil {
-			fail(err)
+			done(nil, err)
 		}
 	}
 
@@ -101,7 +83,7 @@ func conserve(g *Gateway, targets []simnet.NodeID, attempts int, done func(*Cons
 				Proj: ProjStagedDelta},
 			OnDone: func(res *Result, err error) {
 				if err != nil {
-					fail(err)
+					done(nil, err)
 					return
 				}
 				out.Residues = res.Deltas
@@ -109,7 +91,7 @@ func conserve(g *Gateway, targets []simnet.NodeID, attempts int, done func(*Cons
 			},
 		})
 		if err != nil {
-			fail(err)
+			done(nil, err)
 		}
 	}
 
@@ -120,7 +102,7 @@ func conserve(g *Gateway, targets []simnet.NodeID, attempts int, done func(*Cons
 			Spec: sumSpec("s_"),
 			OnDone: func(res *Result, err error) {
 				if err != nil {
-					fail(err)
+					done(nil, err)
 					return
 				}
 				out.Savings = res.Sum
@@ -128,7 +110,7 @@ func conserve(g *Gateway, targets []simnet.NodeID, attempts int, done func(*Cons
 			},
 		})
 		if err != nil {
-			fail(err)
+			done(nil, err)
 		}
 	}
 
@@ -138,7 +120,7 @@ func conserve(g *Gateway, targets []simnet.NodeID, attempts int, done func(*Cons
 		Spec:    sumSpec("c_"),
 		OnDone: func(res *Result, err error) {
 			if err != nil {
-				fail(err)
+				done(nil, err)
 				return
 			}
 			out.Pins = res.Pins
@@ -148,6 +130,6 @@ func conserve(g *Gateway, targets []simnet.NodeID, attempts int, done func(*Cons
 		},
 	})
 	if err != nil {
-		fail(err)
+		done(nil, err)
 	}
 }

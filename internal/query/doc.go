@@ -30,10 +30,12 @@
 // to share a cut across several scans). Every page of every sub-query
 // reads the exact sealed version it was pinned to — never the mutable
 // head — so results are height-consistent per shard by construction, and
-// the read path takes no 2PL locks and never blocks execution. If the
-// stable checkpoint overtakes a pin between pages the server answers with
-// the typed pruned error and the caller re-pins; results are all-or-
-// nothing, never a mix of versions.
+// the read path takes no 2PL locks and never blocks execution. Every page
+// (and the pin itself) reads through Store.ReaderAt, and a stable
+// checkpoint keeps each version read since the previous one, so a query
+// that keeps paging keeps its cut. A pin left unread for a whole
+// checkpoint interval is pruned, and its next page fails with the typed
+// pruned error; results are all-or-nothing, never a mix of versions.
 //
 // Across shards, the pins form a cut that may slice through an in-flight
 // two-phase commit: shard A pinned after its commit-phase executed, shard
@@ -45,7 +47,6 @@
 // the other shards' staged deltas are applied to the answer. The
 // remaining hazard window — one shard pinned before its prepare while
 // another pinned after its commit — requires the pin scatter (microseconds
-// apart) to straddle a full prepare-to-commit span (two consensus rounds);
-// the conservation helper additionally retries on mismatch-prone errors,
+// apart) to straddle a full prepare-to-commit span (two consensus rounds),
 // and the live smoke test asserts exactness under sustained write load.
 package query

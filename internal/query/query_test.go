@@ -124,9 +124,12 @@ func TestAnswerPaging(t *testing.T) {
 		t.Fatalf("paged count %d over %d pages, want 100 over 4", total, pages)
 	}
 
-	// Pruned pins answer typed, not empty.
+	// Pruned pins answer typed, not empty. The pages above read the pin,
+	// so the first SetFloor keeps it; the second, with no read between,
+	// prunes it.
 	s.Apply(chain.WriteSet{{Key: "x", Value: []byte("1")}})
 	s.Seal()
+	s.SetFloor(s.Version())
 	s.SetFloor(s.Version())
 	ch := Answer(s, &Request{Spec: Spec{Kind: KindScan}, Pin: pin})
 	if ch.Err != ErrCodePruned {
@@ -254,6 +257,66 @@ func TestGatewayPrunedPinFailsTyped(t *testing.T) {
 	}
 }
 
+// A stable checkpoint on every shard before every page does not cost a
+// scan its cut: each page reads the pin, and the store keeps a version
+// read since the previous SetFloor.
+func TestGatewayScanKeepsPinAcrossCheckpoints(t *testing.T) {
+	e := sim.NewEngine(1)
+	n := simnet.New(e, simnet.Uniform{Base: time.Millisecond})
+	var want []string
+	var targets []simnet.NodeID
+	for i := 0; i < 2; i++ {
+		st := chain.NewStore()
+		var ws chain.WriteSet
+		for k := i; k < 60; k += 2 {
+			key := fmt.Sprintf("k%03d", k)
+			ws = append(ws, chain.Write{Key: key, Value: []byte("1")})
+		}
+		st.Apply(ws)
+		st.Seal()
+		ep := n.Attach(simnet.NodeID(i+1), simnet.DefaultSharedQueue())
+		svc := AttachService(ep, st)
+		writes := 0
+		ep.SetHandler(simnet.HandlerFunc{CostFn: svc.Cost, HandleFn: func(m simnet.Message) {
+			if req, ok := m.Payload.(*Request); ok && req.Kind == KindScan {
+				// A new key inside the scanned range: a page that read
+				// the head instead of the pin would return it.
+				writes++
+				st.Apply(chain.WriteSet{{Key: fmt.Sprintf("k%03d.%d", writes, i), Value: []byte("1")}})
+				st.Seal()
+				st.SetFloor(st.Version())
+			}
+			svc.Handle(m)
+		}})
+		targets = append(targets, ep.ID())
+	}
+	for k := 0; k < 60; k++ {
+		want = append(want, fmt.Sprintf("k%03d", k))
+	}
+	g := NewGateway(n.Attach(99, simnet.DefaultSharedQueue()))
+
+	var got []string
+	var gotErr error
+	done := false
+	e.Schedule(0, func() {
+		err := g.Start(&Query{
+			Targets:   targets,
+			Spec:      Spec{Kind: KindScan, Proj: ProjKV, Agg: AggNone},
+			PageLimit: 8,
+			OnRow:     func(row Row) { got = append(got, row.K) },
+			OnDone:    func(_ *Result, err error) { gotErr, done = err, true },
+		})
+		checkErr(t, err)
+	})
+	e.RunUntilIdle()
+	if !done || gotErr != nil {
+		t.Fatalf("scan done=%v err=%v", done, gotErr)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rows across checkpoints:\n got %v\nwant %v", got, want)
+	}
+}
+
 func TestConservationResolvesResidues(t *testing.T) {
 	// Shard 0 committed the payment (c_a 100→75, commit recorded); shard 1
 	// is pinned pre-commit: c_c still 25 with a staged +25. The resolve
@@ -276,7 +339,7 @@ func TestConservationResolvesResidues(t *testing.T) {
 	e, g, targets := gatewayNet(t, []*chain.Store{s0, s1})
 	var got *ConservationResult
 	e.Schedule(0, func() {
-		Conservation(g, targets, 1, func(r *ConservationResult, err error) {
+		Conservation(g, targets, func(r *ConservationResult, err error) {
 			checkErr(t, err)
 			got = r
 		})
@@ -316,7 +379,7 @@ func TestConservationIgnoresUncommittedResidues(t *testing.T) {
 	e, g, targets := gatewayNet(t, []*chain.Store{s0, s1})
 	var got *ConservationResult
 	e.Schedule(0, func() {
-		Conservation(g, targets, 1, func(r *ConservationResult, err error) {
+		Conservation(g, targets, func(r *ConservationResult, err error) {
 			checkErr(t, err)
 			got = r
 		})

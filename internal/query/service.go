@@ -41,6 +41,12 @@ func Answer(st *chain.Store, req *Request) *Chunk {
 			ch.Err = ErrCodeUnknown
 			return ch
 		}
+		// Through ReaderAt, so that the pin counts as a read and the
+		// store's retention rule keeps it until the first page arrives.
+		if _, err := st.ReaderAt(v); err != nil {
+			ch.Err = errCode(err)
+			return ch
+		}
 		ch.Version = v
 	case KindResolve:
 		ch.Version = req.Pin

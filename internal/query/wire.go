@@ -15,8 +15,8 @@ const (
 // gateway).
 const (
 	ErrCodeNone uint8 = iota
-	// ErrCodePruned: the pin fell below the shard's retention floor (the
-	// stable checkpoint advanced past it); re-pin and retry.
+	// ErrCodePruned: the pin fell below the shard's retention floor and
+	// was not kept (no page read it across a stable checkpoint).
 	ErrCodePruned
 	// ErrCodeUnknown: the pin is not a sealed version on this replica
 	// (or nothing is sealed yet).

@@ -13,7 +13,7 @@ import (
 // QueryStats aggregates read-driver results.
 type QueryStats struct {
 	// Issued counts sweeps started; Done those that completed; Failed
-	// those that errored out (after the driver's re-pin retries).
+	// those that errored out.
 	Issued int
 	Done   int
 	Failed int
@@ -71,9 +71,6 @@ type QueryDriver struct {
 	// Expect, when nonzero, is the conserved total every conservation
 	// sweep must report; mismatches count as Stats.Violations.
 	Expect int64
-	// Attempts bounds per-sweep re-pin retries on checkpoint overtake
-	// (default 3).
-	Attempts int
 
 	Stats  QueryStats
 	stopAt sim.Time
@@ -100,10 +97,6 @@ func (d *QueryDriver) issue() {
 	d.Stats.Issued++
 	gw := d.Sys.QueryGateway(d.Client)
 	targets := d.Sys.QueryTargets()
-	attempts := d.Attempts
-	if attempts < 1 {
-		attempts = 3
-	}
 	start := now
 	finish := func(failed bool) {
 		if failed {
@@ -136,7 +129,7 @@ func (d *QueryDriver) issue() {
 			finish(true)
 		}
 	default: // conserve
-		query.Conservation(gw, targets, attempts, func(res *query.ConservationResult, err error) {
+		query.Conservation(gw, targets, func(res *query.ConservationResult, err error) {
 			if err == nil {
 				d.Stats.Totals = append(d.Stats.Totals, res.Total)
 				if d.Expect != 0 && res.Total != d.Expect {
